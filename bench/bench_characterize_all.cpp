@@ -61,7 +61,6 @@ struct CellResult {
 struct ShardTiming {
   unsigned shards = 0;
   double halo_ms = 0.0;  // serial halo-exchange (staging) slice of grid_ms
-  double state_max = 0.0, state_mean = 0.0;
   double grid_max = 0.0, grid_mean = 0.0;
   double plane_max = 0.0, plane_mean = 0.0;  // enumeration fan-out
   double char_max = 0.0, char_mean = 0.0;
@@ -102,8 +101,6 @@ std::vector<acn::CharacterizationSets> run_engine(
     if (shard != nullptr) {
       shard->shards = stats.shards;
       shard->halo_ms += stats.halo_ms;
-      shard->state_max += stats.state_lanes.max_ms;
-      shard->state_mean += stats.state_lanes.mean_ms;
       shard->grid_max += stats.grid_lanes.max_ms;
       shard->grid_mean += stats.grid_lanes.mean_ms;
       shard->plane_max += stats.plane_enum_lanes.max_ms;
@@ -170,8 +167,6 @@ CellResult run_cell(std::size_t n, std::uint32_t errors, std::uint64_t steps,
   if (shard != nullptr) {
     const auto divisor = static_cast<double>(steps);
     shard->halo_ms /= divisor;
-    shard->state_max /= divisor;
-    shard->state_mean /= divisor;
     shard->grid_max /= divisor;
     shard->grid_mean /= divisor;
     shard->plane_max /= divisor;
@@ -332,16 +327,15 @@ int main(int argc, char** argv) {
   std::printf("\n# shard-phase skew (pooled engine, per-step lane busy ms, "
               "max/mean)\n");
   std::printf(
-      "| n | A | shards | halo ms | state | grid | plane | characterize |\n");
-  std::printf("|---|---|---|---|---|---|---|---|\n");
+      "| n | A | shards | halo ms | grid | plane | characterize |\n");
+  std::printf("|---|---|---|---|---|---|---|\n");
   for (std::size_t i = 0; i < cell_count; ++i) {
     const ShardTiming& row = shard_rows[i];
     std::printf(
-        "| %zu | %u | %u | %.3f | %.3f/%.3f | %.3f/%.3f | %.3f/%.3f | "
-        "%.3f/%.3f |\n",
-        cells[i].n, cells[i].a, row.shards, row.halo_ms, row.state_max,
-        row.state_mean, row.grid_max, row.grid_mean, row.plane_max,
-        row.plane_mean, row.char_max, row.char_mean);
+        "| %zu | %u | %u | %.3f | %.3f/%.3f | %.3f/%.3f | %.3f/%.3f |\n",
+        cells[i].n, cells[i].a, row.shards, row.halo_ms, row.grid_max,
+        row.grid_mean, row.plane_max, row.plane_mean, row.char_max,
+        row.char_mean);
   }
   // Telemetry overhead: the same stream through the OnlineMonitor with the
   // telemetry layer off, then on, back to back (min over reps). The rows

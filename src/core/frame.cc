@@ -14,23 +14,6 @@ double ms_since(Clock::time_point start) {
 
 }  // namespace
 
-void SnapshotRing::prime(Snapshot first) {
-  Snapshot prev = first;  // the one unavoidable copy: both slots of S_0
-  state_.emplace(std::move(prev), std::move(first), DeviceSet{});
-  moved_.clear();
-}
-
-const std::vector<DeviceId>& SnapshotRing::advance(Snapshot next,
-                                                   DeviceSet abnormal,
-                                                   WorkerPool* pool,
-                                                   std::vector<double>* lane_ms) {
-  if (!primed()) {
-    throw std::logic_error("SnapshotRing::advance: prime() a snapshot first");
-  }
-  state_->advance(std::move(next), std::move(abnormal), &moved_, pool, lane_ms);
-  return moved_;
-}
-
 FrameEngine::FrameEngine(Config config)
     : config_(config),
       pool_(config.threads),
@@ -40,41 +23,62 @@ FrameEngine::FrameEngine(Config config)
   config_.model.validate();
 }
 
-std::optional<FrameEngine::Result> FrameEngine::observe(Snapshot positions,
-                                                        DeviceSet abnormal) {
+std::optional<FrameEngine::Result> FrameEngine::observe(
+    Snapshot positions, DeviceSet abnormal) {
   stats_ = {};
   stats_.shards = grid_.shards();
   const kernels::Counters kernel_before = kernels::counters_snapshot();
-  std::vector<double> lane_scratch;
-  if (!ring_.primed()) {
+  auto t0 = Clock::now();
+  if (!state_.has_value()) {
     // Priming snapshot: no previous state, nothing to characterize (any
     // abnormal ids are moot — there is no interval they fired in).
-    auto t0 = Clock::now();
-    ring_.prime(std::move(positions));
-    abnormal_flag_.assign(ring_.state().n(), 0);
+    Snapshot prev = positions;  // the one unavoidable copy: both halves of S_0
+    state_.emplace(std::move(prev), std::move(positions), DeviceSet{});
+    abnormal_flag_.assign(state_->n(), 0);
     stats_.state_ms = ms_since(t0);
     t0 = Clock::now();
-    grid_.rebuild(ring_.state(), &pool_, &lane_scratch);
+    std::vector<double> lane_ms;
+    grid_.rebuild(*state_, &pool_, &lane_ms);
     stats_.grid_ms = ms_since(t0);
-    stats_.grid_lanes = LaneBreakdown::of(lane_scratch);
+    stats_.grid_lanes = LaneBreakdown::of(lane_ms);
     ++intervals_;
     return std::nullopt;
   }
+  const DeviceSet previous_abnormal = state_->abnormal();
+  state_->advance(positions, std::move(abnormal));
+  return characterize_interval(t0, previous_abnormal, kernel_before);
+}
 
-  // Roll the ring (validates shape; strong guarantee), then swap the A_k
-  // mask from the previous interval's ids to the new ones — O(|A_{k-1}| +
-  // |A_k|), never O(n).
-  auto t0 = Clock::now();
-  const DeviceSet previous_abnormal = ring_.state().abnormal();
-  const std::vector<DeviceId>& moved =
-      ring_.advance(std::move(positions), std::move(abnormal), &pool_, &lane_scratch);
-  const StatePair& state = ring_.state();
+FrameEngine::Result FrameEngine::observe(const PositionUpdate& update,
+                                         DeviceSet abnormal) {
+  if (!state_.has_value()) {
+    throw std::logic_error(
+        "FrameEngine::observe: prime with a snapshot before feeding changes");
+  }
+  stats_ = {};
+  stats_.shards = grid_.shards();
+  const kernels::Counters kernel_before = kernels::counters_snapshot();
+  const auto t0 = Clock::now();
+  const DeviceSet previous_abnormal = state_->abnormal();
+  state_->roll(update, std::move(abnormal));
+  return characterize_interval(t0, previous_abnormal, kernel_before);
+}
+
+FrameEngine::Result FrameEngine::characterize_interval(
+    Clock::time_point t0, const DeviceSet& previous_abnormal,
+    const kernels::Counters& kernel_before) {
+  // The roll validated its input (strong guarantee) and now stands, so it
+  // counts even if the plane build below throws. Swap the A_k mask from
+  // the previous interval's ids to the new ones — O(|A_{k-1}| + |A_k|).
+  ++intervals_;
+  const StatePair& state = *state_;
+  const std::span<const DeviceId> moved = state.moved();
   for (const DeviceId j : previous_abnormal) abnormal_flag_[j] = 0;
   for (const DeviceId j : state.abnormal()) abnormal_flag_[j] = 1;
   stats_.state_ms = ms_since(t0);
-  stats_.state_lanes = LaneBreakdown::of(lane_scratch);
   stats_.moved = moved.size();
   stats_.abnormal = state.abnormal().size();
+  std::vector<double> lane_scratch;
 
   // Grid re-bucket in two steps: the serial halo exchange routes each
   // move's bucket edits to the owner shards, then every shard drains its
@@ -123,8 +127,6 @@ std::optional<FrameEngine::Result> FrameEngine::observe(Snapshot positions,
   result.sets.unresolved = DeviceSet::from_sorted(std::move(unresolved));
   stats_.characterize_ms = ms_since(t0);
   stats_.kernel = kernels::counters_snapshot() - kernel_before;
-
-  ++intervals_;
   return result;
 }
 

@@ -8,11 +8,12 @@
 // trajectories within 4r of the deciding device) licenses the opposite
 // architecture, which this engine implements:
 //
-//   * SnapshotRing double-buffers the rolling StatePair: the new snapshot
-//     is MOVED in, the old current snapshot becomes the previous one by
-//     move, and the joint/SoA columns are rewritten in place only where a
-//     trajectory changed — per-interval cost tracks |moved|, i.e. the
-//     devices errors displaced, not n;
+//   * the rolling StatePair takes the interval as a change set — the
+//     devices whose position may have changed, with their new coordinates
+//     (FleetRoster hands its own over; a full snapshot is diffed into one)
+//     — and rewrites prev/curr, joint and SoA columns in place for the
+//     devices the last roll moved and the ones this change set moves: the
+//     roll's cost tracks |moved|, i.e. the devices errors displaced, not n;
 //   * the fleet grid is sharded spatially (ShardMap stripes of [0,1]^d,
 //     sized to the worker count) and maintained incrementally: only devices
 //     whose grid cell key changed are re-bucketed, via a serial
@@ -36,6 +37,7 @@
 // reported by bench_characterize_all.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -51,35 +53,6 @@
 #include "core/state.hpp"
 
 namespace acn {
-
-/// Rolling (S_{k-1}, S_k, A_k) double buffer. prime() installs the first
-/// snapshot; each advance() moves the next one in and rolls the pair in
-/// place (StatePair::advance), tracking which devices moved.
-class SnapshotRing {
- public:
-  [[nodiscard]] bool primed() const noexcept { return state_.has_value(); }
-
-  /// Installs the first snapshot: the state becomes (S_0, S_0, {}) — no
-  /// interval to characterize yet.
-  void prime(Snapshot first);
-
-  /// Rolls to the next interval; returns the devices whose current
-  /// position changed (the fleet grid's re-bucket set). Requires primed().
-  /// `pool`/`lane_ms` pass through to StatePair::advance (chunk-parallel
-  /// roll, byte-identical for every pool size).
-  const std::vector<DeviceId>& advance(Snapshot next, DeviceSet abnormal,
-                                       WorkerPool* pool = nullptr,
-                                       std::vector<double>* lane_ms = nullptr);
-
-  /// Devices moved by the latest advance.
-  [[nodiscard]] std::span<const DeviceId> moved() const noexcept { return moved_; }
-
-  [[nodiscard]] const StatePair& state() const { return *state_; }
-
- private:
-  std::optional<StatePair> state_;
-  std::vector<DeviceId> moved_;
-};
 
 /// Busy-time aggregate over the worker lanes of one parallel phase. The
 /// max/mean gap is the phase's skew: max is the wall-clock the phase paid,
@@ -108,7 +81,7 @@ struct LaneBreakdown {
 /// Wall-clock phase breakdown of one engine interval, in milliseconds —
 /// what bench_characterize_all reports per phase.
 struct FrameStats {
-  double state_ms = 0.0;         ///< ring roll (joint/SoA in-place update)
+  double state_ms = 0.0;         ///< state roll (joint/SoA in-place update)
   double grid_ms = 0.0;          ///< grid re-bucketing (staging + apply)
   double plane_ms = 0.0;         ///< motion-plane build over the 4r-closure
   double characterize_ms = 0.0;  ///< Theorems 5-7 over A_k
@@ -122,7 +95,6 @@ struct FrameStats {
   unsigned shards = 0;           ///< spatial shards of the fleet grid
 
   // Per-lane skew of each fan-out phase (see LaneBreakdown).
-  LaneBreakdown state_lanes;        ///< ring-roll chunk fan-out
   LaneBreakdown grid_lanes;         ///< per-shard staged-op application
   LaneBreakdown plane_query_lanes;  ///< plane pass 1 (neighbourhood queries)
   LaneBreakdown plane_enum_lanes;   ///< plane pass 2 (component enumeration)
@@ -140,20 +112,6 @@ struct FrameStats {
   }
 };
 
-/// A closed interval as handed down from the ingestion layer: the
-/// materialized snapshot, the abnormal set, and the ingest-quality marker.
-/// `degraded` is metadata — it never changes what is computed, it travels
-/// with the interval so every consumer of the verdicts knows the lateness
-/// budget or the overload policy clipped the inputs (shed claims, deferred
-/// devices, a forced early close). The watermark pipeline (src/ingest)
-/// produces these; OnlineMonitor forwards them here.
-struct SealedFrame {
-  std::uint64_t interval = 0;
-  Snapshot positions;
-  DeviceSet abnormal;
-  bool degraded = false;
-};
-
 /// The streaming engine: feed one snapshot per interval, read verdicts.
 class FrameEngine {
  public:
@@ -163,8 +121,8 @@ class FrameEngine {
     /// is the |A_k| below which the characterization fan-out runs inline
     /// (the one threshold, shared with the standalone batch APIs).
     CharacterizeOptions characterize;
-    /// Lanes for every per-interval fan-out (ring roll, staged grid apply,
-    /// plane build, per-device characterization): 1 = inline serial
+    /// Lanes for every per-interval fan-out (staged grid apply, plane
+    /// build, per-device characterization): 1 = inline serial
     /// (default), 0 = hardware concurrency. Verdicts are identical for
     /// every value.
     unsigned threads = 1;
@@ -192,25 +150,27 @@ class FrameEngine {
 
   explicit FrameEngine(Config config);
 
-  /// Feeds the snapshot of the next interval (moved in, never copied) and
-  /// characterizes every device of `abnormal` against the previous one.
-  /// Returns std::nullopt for the first (priming) snapshot. Throws
-  /// std::invalid_argument if the fleet size or dimension changes — the
-  /// engine's device universe is fixed (StatePair::advance precondition);
-  /// deployments with churn feed it through FleetRoster, which recycles
-  /// slots inside a fixed capacity instead of resizing the snapshot.
+  /// Feeds the snapshot of the next interval and characterizes every
+  /// device of `abnormal` against the previous one. The first (priming)
+  /// snapshot is moved in as (S_0, S_0, {}) and returns std::nullopt;
+  /// every later one is diffed against the current state (O(n)) and rolled
+  /// like a change set. Throws std::invalid_argument if the fleet size or
+  /// dimension changes — the engine's device universe is fixed
+  /// (StatePair::roll precondition); deployments with churn feed it
+  /// through FleetRoster, which recycles slots inside a fixed capacity
+  /// instead of resizing the snapshot.
   std::optional<Result> observe(Snapshot positions, DeviceSet abnormal);
 
-  /// Sealed-frame handoff from the ingestion layer: same contract, the
-  /// frame's snapshot and abnormal set are moved in. The degraded marker
-  /// does not influence the computation (see SealedFrame).
-  std::optional<Result> observe(SealedFrame frame) {
-    return observe(std::move(frame.positions), std::move(frame.abnormal));
-  }
+  /// Feeds the next interval as a change set: the devices whose position
+  /// may have changed since the previous interval, with their new
+  /// coordinates (see PositionUpdate). The roll costs O(|moved|), not
+  /// O(n) — the path FleetRoster feeds after priming. Requires primed()
+  /// (std::logic_error otherwise); throws like StatePair::roll.
+  Result observe(const PositionUpdate& update, DeviceSet abnormal);
 
   /// The rolling state (requires at least one observe()).
-  [[nodiscard]] const StatePair& state() const { return ring_.state(); }
-  [[nodiscard]] bool primed() const noexcept { return ring_.primed(); }
+  [[nodiscard]] const StatePair& state() const { return *state_; }
+  [[nodiscard]] bool primed() const noexcept { return state_.has_value(); }
 
   /// The last interval's motion plane (null before the second observe()).
   [[nodiscard]] const MotionPlane* plane() const noexcept {
@@ -219,19 +179,28 @@ class FrameEngine {
 
   /// Phase breakdown of the latest observe().
   [[nodiscard]] const FrameStats& last_stats() const noexcept { return stats_; }
+  /// Snapshots rolled into the state, the priming one included. An
+  /// observe() that throws after its roll (ArenaBudgetExceeded from the
+  /// plane build) still counts: the state did move on.
   [[nodiscard]] std::uint64_t intervals() const noexcept { return intervals_; }
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] WorkerPool& pool() noexcept { return pool_; }
 
  private:
+  /// Everything after the roll: A_k mask, grid, plane, characterization.
+  /// `t0` is the roll's start, `previous_abnormal` the A_{k-1} to unmask.
+  Result characterize_interval(std::chrono::steady_clock::time_point t0,
+                               const DeviceSet& previous_abnormal,
+                               const kernels::Counters& kernel_before);
+
   /// NeighbourSource over the fleet grid restricted to the abnormal mask.
   class AbnormalSource final : public NeighbourSource {
    public:
     AbnormalSource(const FrameEngine& engine) : engine_(engine) {}
     void within_into(DeviceId j, double radius,
                      std::vector<DeviceId>& out) const override {
-      engine_.grid_.within_into(engine_.ring_.state(), j, radius,
+      engine_.grid_.within_into(*engine_.state_, j, radius,
                                 engine_.abnormal_flag_, out);
     }
 
@@ -240,7 +209,7 @@ class FrameEngine {
   };
 
   Config config_;
-  SnapshotRing ring_;
+  std::optional<StatePair> state_;  ///< engaged by the priming snapshot
   WorkerPool pool_;          ///< before grid_: its lane count sizes the shards
   ShardedFleetGrid grid_;
   AbnormalSource source_;

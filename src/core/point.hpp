@@ -31,15 +31,9 @@ class Point {
   [[nodiscard]] double operator[](std::size_t i) const noexcept { return coords_[i]; }
   [[nodiscard]] double& operator[](std::size_t i) noexcept { return coords_[i]; }
 
-  /// Copy assignment touching only the meaningful coordinates. The default
-  /// assignment memcpys the whole fixed-capacity array (136 bytes); for the
-  /// common low-dimension case this writes dim() doubles instead, which
-  /// matters on per-report hot paths (ingest staging, roster updates).
-  /// Coordinates past dim() are left stale — every observer (equality,
-  /// chebyshev, in_unit_box, to_string, concat) reads only the first dim().
-  void assign_compact(const Point& other) noexcept {
-    dim_ = other.dim_;
-    for (std::size_t i = 0; i < other.dim_; ++i) coords_[i] = other.coords_[i];
+  /// The meaningful coordinates, [0, dim()).
+  [[nodiscard]] std::span<const double> coords() const noexcept {
+    return {coords_.data(), dim_};
   }
 
   /// True if every coordinate lies in [0, 1] (the QoS space proper).

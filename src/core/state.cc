@@ -1,10 +1,7 @@
 #include "core/state.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
-
-#include "common/worker_pool.hpp"
 
 namespace acn {
 
@@ -39,6 +36,7 @@ StatePair::StatePair(Snapshot prev, Snapshot curr, DeviceSet abnormal)
   joint_.reserve(n());
   for (DeviceId j = 0; j < n(); ++j) {
     joint_.push_back(Point::concat(prev_[j], curr_[j]));
+    if (!(prev_[j] == curr_[j])) moved_.push_back(j);
   }
   joint_cols_.resize(joint_dim() * n());
   qcols_.resize(joint_dim() * n());
@@ -52,9 +50,63 @@ StatePair::StatePair(Snapshot prev, Snapshot curr, DeviceSet abnormal)
   }
 }
 
-void StatePair::advance(Snapshot next, DeviceSet abnormal,
-                        std::vector<DeviceId>* moved, WorkerPool* pool,
-                        std::vector<double>* lane_ms) {
+void StatePair::roll(const PositionUpdate& update, DeviceSet abnormal) {
+  const std::size_t d = dim();
+  const std::size_t count = n();
+  const std::span<const DeviceId> ids = update.ids;
+  if (update.coords.size() != ids.size() * d) {
+    throw std::invalid_argument(
+        "StatePair::roll: coordinate count does not match the update");
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] >= count || (i > 0 && ids[i] <= ids[i - 1])) {
+      throw std::invalid_argument(
+          "StatePair::roll: update ids must be ascending device ids (the "
+          "device universe is fixed per engine; route churn through "
+          "FleetRoster, which parks vacant slots instead of resizing)");
+    }
+  }
+  for (const double x : update.coords) {
+    if (x < 0.0 || x > 1.0) {
+      throw std::invalid_argument("StatePair::roll: coordinate outside [0,1]");
+    }
+  }
+  if (!abnormal.empty() && abnormal[abnormal.size() - 1] >= count) {
+    throw std::invalid_argument(
+        "StatePair::roll: abnormal set references unknown device");
+  }
+  abnormal_ = std::move(abnormal);
+
+  // joint_[j] = (prev | curr). The new prev half is the old curr half,
+  // already stored at offsets [d, 2d); the two differ only for the devices
+  // the last roll moved, so only those shift down.
+  const auto write = [&](DeviceId j, std::size_t t, double x) {
+    joint_[j][t] = x;
+    joint_cols_[t * count + j] = x;
+    qcols_[t * count + j] = kernels::quantize(x);
+  };
+  for (const DeviceId j : moved_) {
+    for (std::size_t t = 0; t < d; ++t) write(j, t, joint_[j][d + t]);
+    prev_.positions_[j] = curr_.positions_[j];
+  }
+  moved_.clear();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const DeviceId j = ids[i];
+    const double* next = update.coords.data() + i * d;
+    Point& current = curr_.positions_[j];
+    bool changed = false;
+    for (std::size_t t = 0; t < d; ++t) {
+      if (current[t] != next[t]) {
+        current[t] = next[t];
+        write(j, d + t, next[t]);
+        changed = true;
+      }
+    }
+    if (changed) moved_.push_back(j);
+  }
+}
+
+void StatePair::advance(const Snapshot& next, DeviceSet abnormal) {
   if (next.size() != n()) {
     throw std::invalid_argument(
         "StatePair::advance: fleet size changed (the device universe is "
@@ -64,78 +116,14 @@ void StatePair::advance(Snapshot next, DeviceSet abnormal,
   if (next.dim() != dim()) {
     throw std::invalid_argument("StatePair::advance: dimension changed");
   }
-  if (!abnormal.empty() && abnormal[abnormal.size() - 1] >= n()) {
-    throw std::invalid_argument(
-        "StatePair::advance: abnormal set references unknown device");
+  PositionUpdate diff;
+  for (DeviceId j = 0; j < n(); ++j) {
+    if (next[j] == curr_[j]) continue;
+    diff.ids.push_back(j);
+    const std::span<const double> coords = next[j].coords();
+    diff.coords.insert(diff.coords.end(), coords.begin(), coords.end());
   }
-  const std::size_t d = dim();
-  const std::size_t count = n();
-  prev_ = std::move(curr_);
-  curr_ = std::move(next);
-  abnormal_ = std::move(abnormal);
-  if (moved != nullptr) moved->clear();
-  // Cleared up front so a serial roll reports "no lanes ran" instead of
-  // leaving a previous phase's numbers in a caller-reused buffer.
-  if (lane_ms != nullptr) lane_ms->clear();
-
-  // joint_[j] = (prev | curr). After the roll the new prev half is the old
-  // curr half, already stored at offsets [d, 2d) — shift it down only where
-  // it differs (the device moved in the PREVIOUS interval); refresh the
-  // curr half only where the new snapshot differs (it moved in THIS one).
-  const auto roll_range = [&](DeviceId begin, DeviceId end,
-                              std::vector<DeviceId>* range_moved) {
-    for (DeviceId j = begin; j < end; ++j) {
-      Point& joint = joint_[j];
-      for (std::size_t t = 0; t < d; ++t) {
-        const double x = joint[d + t];
-        if (joint[t] != x) {
-          joint[t] = x;
-          joint_cols_[t * count + j] = x;
-          qcols_[t * count + j] = kernels::quantize(x);
-        }
-      }
-      const Point& current = curr_[j];
-      bool changed = false;
-      for (std::size_t t = 0; t < d; ++t) {
-        const double x = current[t];
-        if (joint[d + t] != x) {
-          joint[d + t] = x;
-          joint_cols_[(d + t) * count + j] = x;
-          qcols_[(d + t) * count + j] = kernels::quantize(x);
-          changed = true;
-        }
-      }
-      if (changed && range_moved != nullptr) range_moved->push_back(j);
-    }
-  };
-
-  // The fan-out pays off only when the id scan dwarfs the section setup;
-  // below the grain (or without a pool) the roll stays a plain loop.
-  constexpr std::size_t kChunk = 16384;
-  if (pool == nullptr || count < 2 * kChunk) {
-    roll_range(0, static_cast<DeviceId>(count), moved);
-    return;
-  }
-  const std::size_t chunks = (count + kChunk - 1) / kChunk;
-  std::vector<std::vector<DeviceId>> chunk_moved(moved != nullptr ? chunks : 0);
-  pool->for_each(
-      chunks, 2,
-      [&](std::size_t c) {
-        const auto begin = static_cast<DeviceId>(c * kChunk);
-        const auto end = static_cast<DeviceId>(std::min(count, (c + 1) * kChunk));
-        roll_range(begin, end, moved != nullptr ? &chunk_moved[c] : nullptr);
-      },
-      0, lane_ms);
-  if (moved != nullptr) {
-    // Contiguous ascending ranges concatenated in range order: ascending
-    // overall, identical to the serial roll.
-    std::size_t total = 0;
-    for (const auto& part : chunk_moved) total += part.size();
-    moved->reserve(total);
-    for (const auto& part : chunk_moved) {
-      moved->insert(moved->end(), part.begin(), part.end());
-    }
-  }
+  roll(diff, std::move(abnormal));
 }
 
 }  // namespace acn

@@ -5,6 +5,7 @@
 // algorithm in the paper.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/device_set.hpp"
@@ -13,9 +14,8 @@
 
 namespace acn {
 
-class WorkerPool;
-
-/// Positions of all devices at one discrete time. Immutable once built.
+/// Positions of all devices at one discrete time. Immutable once built,
+/// except for the two copies a StatePair rolls in place.
 class Snapshot {
  public:
   /// Builds from per-device positions; all points must share the same
@@ -32,8 +32,20 @@ class Snapshot {
   }
 
  private:
+  friend class StatePair;  // rolls its own copies in place
+
   std::vector<Point> positions_;
   std::size_t dim_ = 0;
+};
+
+/// Candidate position updates for one StatePair::roll: devices in strictly
+/// ascending order, each with dim() new coordinates packed row by row in
+/// `coords` (row i belongs to ids[i]). A candidate whose coordinates equal
+/// its current position is allowed and costs one comparison, so producers
+/// (FleetRoster's change set, StatePair::advance's diff) may over-report.
+struct PositionUpdate {
+  std::vector<DeviceId> ids;
+  std::vector<double> coords;
 };
 
 /// Two successive system states plus the abnormal set A_k.
@@ -43,36 +55,40 @@ class StatePair {
   /// dimension, or if abnormal contains an out-of-range device id.
   StatePair(Snapshot prev, Snapshot curr, DeviceSet abnormal);
 
-  /// In-place interval roll for the streaming engine: S_{k-1} takes the old
-  /// S_k (moved, not copied), S_k takes `next` (moved in), A_k becomes
-  /// `abnormal`. The joint coordinates and the SoA columns are rewritten
-  /// only where a trajectory actually changed — the new prev half equals
-  /// the old curr half by construction, so a device untouched by both
-  /// intervals costs one comparison per dimension and zero writes. Appends
-  /// to *moved (cleared first, ascending) every device whose CURRENT
-  /// position changed in this roll — exactly the devices whose grid cell
-  /// may change. Throws std::invalid_argument (state unchanged) if `next`
-  /// disagrees in size or dimension or `abnormal` is out of range.
+  /// In-place interval roll, the one routine every feed goes through:
+  /// S_{k-1} takes the old S_k, S_k takes the updated positions, A_k
+  /// becomes `abnormal`. Costs O(|moved()| + |update.ids|), never O(n):
+  ///   1. prev[j] = curr[j] for the devices the last roll moved — the only
+  ///      ones whose two halves differ — together with the prev half of
+  ///      their joint coordinates and SoA columns;
+  ///   2. every candidate whose coordinates differ from curr (by value, so
+  ///      -0.0 over 0.0 is no move) gets its curr position, the curr half
+  ///      of its joint coordinates, and its SoA/quantized entries
+  ///      rewritten, and is appended to moved().
+  /// moved() therefore lists, ascending, exactly the devices whose CURRENT
+  /// position changed — the devices whose grid cell may change. Throws
+  /// std::invalid_argument (state unchanged) if the ids are not strictly
+  /// ascending in [0, n), `coords` is not ids.size() * dim() long, a
+  /// coordinate lies outside [0, 1], or `abnormal` is out of range.
   ///
-  /// PRECONDITION (stable device universe): slot j of `next` describes the
-  /// same device as slot j of the current snapshot. The roll has no notion
-  /// of devices joining or leaving — churn is handled one layer up by
-  /// FleetRoster (src/online/roster), which keeps a fixed-capacity dense id
-  /// space, parks vacant slots at their last position, and never flags a
-  /// device abnormal in the interval its slot was (re)assigned, so a slot
-  /// swap can never fabricate a characterizable trajectory.
-  ///
-  /// With a `pool`, the roll fans out over contiguous device-id chunks:
-  /// each lane rewrites the joint/SoA entries of its own id range (disjoint
-  /// writes) and collects its chunk's moved list; the chunk lists are
-  /// concatenated in range order, so `moved` comes out ascending and
-  /// byte-identical to the serial roll for every pool size and chunking.
-  /// `lane_ms`, when given, receives per-lane busy milliseconds (the
-  /// engine's shard-skew instrumentation).
-  void advance(Snapshot next, DeviceSet abnormal,
-               std::vector<DeviceId>* moved = nullptr,
-               WorkerPool* pool = nullptr,
-               std::vector<double>* lane_ms = nullptr);
+  /// PRECONDITION (stable device universe): device j of the update is
+  /// device j of the current state. The roll has no notion of devices
+  /// joining or leaving — churn is handled one layer up by FleetRoster
+  /// (src/online/roster), which keeps a fixed-capacity dense id space,
+  /// parks vacant slots at their last position, and never flags a device
+  /// abnormal in the interval its slot was (re)assigned, so a slot swap can
+  /// never fabricate a characterizable trajectory.
+  void roll(const PositionUpdate& update, DeviceSet abnormal);
+
+  /// Full-snapshot roll: diffs `next` against curr (O(n)) into a
+  /// PositionUpdate, then roll(). Throws std::invalid_argument (state
+  /// unchanged) if `next` disagrees in size or dimension or `abnormal` is
+  /// out of range.
+  void advance(const Snapshot& next, DeviceSet abnormal);
+
+  /// Devices whose prev and curr positions differ, ascending: the moved
+  /// list of the latest roll (for a freshly built pair, its initial diff).
+  [[nodiscard]] std::span<const DeviceId> moved() const noexcept { return moved_; }
 
   [[nodiscard]] std::size_t n() const noexcept { return prev_.size(); }
   [[nodiscard]] std::size_t dim() const noexcept { return prev_.dim(); }
@@ -97,11 +113,11 @@ class StatePair {
   }
 
   /// Fixed-point mirror of joint_col: qcol(t)[j] == kernels::quantize of
-  /// joint_col(t)[j], maintained incrementally by advance() (only entries
-  /// whose double changed are requantized — O(|moved|) per roll). The SIMD
-  /// window/radius kernels compare these 8 lanes at a time and fall back to
-  /// the doubles only on quantization-boundary ties (see
-  /// core/kernels/quantize.hpp for the byte-identity argument).
+  /// joint_col(t)[j], maintained incrementally by roll() (only entries
+  /// whose double changed are requantized). The SIMD window/radius kernels
+  /// compare these 8 lanes at a time and fall back to the doubles only on
+  /// quantization-boundary ties (see core/kernels/quantize.hpp for the
+  /// byte-identity argument).
   [[nodiscard]] const std::uint32_t* qcol(std::size_t dim) const noexcept {
     return qcols_.data() + dim * n();
   }
@@ -132,6 +148,7 @@ class StatePair {
   std::vector<Point> joint_;
   std::vector<double> joint_cols_;       ///< column-major copy: [dim][device]
   std::vector<std::uint32_t> qcols_;     ///< quantized mirror of joint_cols_
+  std::vector<DeviceId> moved_;          ///< devices with prev != curr
 };
 
 }  // namespace acn

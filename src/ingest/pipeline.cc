@@ -194,15 +194,15 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
   if (forced) ++counters_.forced_closes;
 
   // Apply the staged claims in key order (deterministic under any delivery
-  // permutation). First-seen keys are auto-admitted; when the roster is
-  // full the report is refused and the interval marked degraded.
+  // permutation), streaming each cell's coordinates straight into the
+  // roster. First-seen keys are auto-admitted; when the roster is full the
+  // report is refused and the interval marked degraded.
   std::vector<GatewayKey> flagged;
   std::vector<Point> flagged_claims;
   const FleetRoster& roster = monitor_.roster();
   const bool liveness_on = liveness_.enabled();
-  frame.for_each_sorted([&](GatewayKey key,
-                            const StagingFrame::Staged& staged) {
-    if (monitor_.try_report(key, staged.claim)) {
+  frame.for_each_sorted([&](GatewayKey key, const StagingFrame::Cell& cell) {
+    if (monitor_.try_report(key, cell.claim)) {
       if (liveness_on && liveness_.reported(key, interval)) {
         ++counters_.revived_devices;
       }
@@ -212,14 +212,14 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
         degraded = true;
         return;
       }
-      monitor_.admit(key, staged.claim);
+      monitor_.admit(key, Point(cell.claim));
       if (liveness_on) liveness_.admitted(key, interval);
       ++counters_.admitted_devices;
     }
     ++closed.reported;
-    if (staged.flagged) {
+    if (cell.flagged) {
       flagged.push_back(key);
-      flagged_claims.push_back(staged.claim);
+      flagged_claims.emplace_back(cell.claim);
     }
   });
   if (poolable) {

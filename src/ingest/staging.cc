@@ -13,12 +13,20 @@ void StagingFrame::configure(std::size_t dense_limit, std::size_t dim) {
   coords_.assign(dense_limit * dim_, 0.0);
 }
 
+namespace {
+
+StagingFrame::Staged materialize(const StagingFrame::Cell& cell) {
+  StagingFrame::Staged staged{cell.seq, Point{}, cell.flagged};
+  if (!cell.claim.empty()) staged.claim = Point(cell.claim);  // dim 0 stays
+  return staged;
+}
+
+}  // namespace
+
 std::optional<StagingFrame::Staged> StagingFrame::find(GatewayKey key) const {
   if (key < present_.size()) {
     if (present_[key] == 0) return std::nullopt;
-    Staged view;
-    materialize(key, view);
-    return view;
+    return materialize(cell(key));
   }
   const auto it = spill_.find(key);
   if (it == spill_.end()) return std::nullopt;
@@ -29,8 +37,8 @@ std::vector<std::pair<GatewayKey, StagingFrame::Staged>> StagingFrame::sorted()
     const {
   std::vector<std::pair<GatewayKey, Staged>> entries;
   entries.reserve(device_count());
-  for_each_sorted([&entries](GatewayKey key, const Staged& staged) {
-    entries.emplace_back(key, staged);
+  for_each_sorted([&entries](GatewayKey key, const Cell& cell) {
+    entries.emplace_back(key, materialize(cell));
   });
   return entries;
 }

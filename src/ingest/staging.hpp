@@ -39,10 +39,18 @@ namespace acn {
 class StagingFrame {
  public:
   /// Winning report of one (device, interval) cell, materialized out of
-  /// the lane storage on demand.
+  /// the lane storage on demand (find(), sorted()).
   struct Staged {
     std::uint64_t seq = 0;
     Point claim;
+    bool flagged = false;
+  };
+
+  /// One staged cell as the lane visitor hands it out: `claim` points into
+  /// the frame's own storage and is valid only during the visit.
+  struct Cell {
+    std::uint64_t seq = 0;
+    std::span<const double> claim;
     bool flagged = false;
   };
 
@@ -112,24 +120,22 @@ class StagingFrame {
   [[nodiscard]] std::size_t volume() const noexcept { return volume_; }
 
   /// Visits every staged entry in ascending key order — the deterministic
-  /// seal order. The dense lane is ordered by construction and every spill
-  /// key is >= the lane limit, so the traversal is lane-then-sorted-spill.
-  /// The Staged reference handed to `fn` is a per-visit materialization;
-  /// it does not outlive the call.
+  /// seal order — as fn(key, const Cell&). The dense lane is ordered by
+  /// construction and every spill key is >= the lane limit, so the
+  /// traversal is lane-then-sorted-spill. Lane cells are handed out
+  /// straight from the coordinate storage; nothing is materialized.
   template <typename Fn>
   void for_each_sorted(Fn&& fn) const {
-    Staged view;
     for (std::size_t key = 0; key < present_.size(); ++key) {
       if (present_[key] == 0) continue;
-      materialize(key, view);
-      fn(static_cast<GatewayKey>(key), view);
+      fn(static_cast<GatewayKey>(key), cell(key));
     }
     if (spill_.empty()) return;
     std::vector<GatewayKey> keys;
     keys.reserve(spill_.size());
     for (const auto& [key, staged] : spill_) keys.push_back(key);
     std::sort(keys.begin(), keys.end());
-    for (const GatewayKey key : keys) fn(key, spill_.at(key));
+    for (const GatewayKey key : keys) fn(key, view(spill_.at(key)));
   }
 
   /// Staged entries sorted by key, copied out (test convenience; the
@@ -167,18 +173,16 @@ class StagingFrame {
     return Apply::kSuperseded;
   }
 
-  void materialize(std::size_t key, Staged& view) const {
-    if (present_[key] == 2) {
-      view = odd_.at(key);
-      return;
-    }
-    view.seq = seq_[key];
-    view.flagged = flag_[key] != 0;
-    // Reuse the view's Point in place: resize only when a preceding odd_
-    // entry changed its dimension, then overwrite the dim_ live coords.
-    if (view.claim.dim() != dim_) view.claim = Point::zero(dim_);
-    const double* cell = coords_.data() + key * dim_;
-    for (std::size_t i = 0; i < dim_; ++i) view.claim[i] = cell[i];
+  static Cell view(const Staged& staged) noexcept {
+    return Cell{staged.seq, staged.claim.coords(), staged.flagged};
+  }
+
+  /// The dense-lane cell of a staged key (present_[key] != 0).
+  [[nodiscard]] Cell cell(std::size_t key) const {
+    if (present_[key] == 2) return view(odd_.at(key));
+    return Cell{seq_[key],
+                std::span<const double>(coords_.data() + key * dim_, dim_),
+                flag_[key] != 0};
   }
 
   // Dense lane, structure-of-arrays; present_[key]: 0 = empty, 1 = staged

@@ -12,7 +12,7 @@ std::vector<TraceSpan> spans_of(const FrameStats& stats) {
   // grid_ms = serial halo routing + parallel staged apply; split so the
   // serial slice (the shard-scaling bottleneck) is its own span.
   return {
-      span("advance", stats.state_ms, stats.state_lanes),
+      span("advance", stats.state_ms, LaneBreakdown{}),
       span("halo", stats.halo_ms, LaneBreakdown{}),
       span("apply_staged", std::max(0.0, stats.grid_ms - stats.halo_ms),
            stats.grid_lanes),
@@ -102,6 +102,40 @@ std::vector<RegionStats> TelemetryHub::tally_regions(
   for (DeviceId j = 0; j < positions.size(); ++j) {
     ++regions[region_of(positions[j])].devices;
   }
+  tally_sets(regions, positions, abnormal, isolated, massive, unresolved);
+  return regions;
+}
+
+std::vector<RegionStats> TelemetryHub::tally_regions(
+    std::uint64_t roll, const StatePair& state, const DeviceSet& abnormal,
+    const DeviceSet& isolated, const DeviceSet& massive,
+    const DeviceSet& unresolved) {
+  if (!region_devices_.empty() && roll == counted_roll_ + 1) {
+    for (const DeviceId j : state.moved()) {
+      --region_devices_[region_of(state.prev_pos(j))];
+      ++region_devices_[region_of(state.curr_pos(j))];
+    }
+  } else {
+    region_devices_.assign(config_.regions, 0);
+    for (DeviceId j = 0; j < state.n(); ++j) {
+      ++region_devices_[region_of(state.curr_pos(j))];
+    }
+  }
+  counted_roll_ = roll;
+  std::vector<RegionStats> regions(config_.regions);
+  for (std::uint32_t r = 0; r < config_.regions; ++r) {
+    regions[r].devices = region_devices_[r];
+  }
+  tally_sets(regions, state.curr(), abnormal, isolated, massive, unresolved);
+  return regions;
+}
+
+void TelemetryHub::tally_sets(std::vector<RegionStats>& regions,
+                              const Snapshot& positions,
+                              const DeviceSet& abnormal,
+                              const DeviceSet& isolated,
+                              const DeviceSet& massive,
+                              const DeviceSet& unresolved) const {
   const auto tally = [&](const DeviceSet& set, std::uint32_t RegionStats::*member) {
     for (const DeviceId j : set.ids()) {
       regions[region_of(positions[j])].*member += 1;
@@ -111,7 +145,6 @@ std::vector<RegionStats> TelemetryHub::tally_regions(
   tally(isolated, &RegionStats::isolated);
   tally(massive, &RegionStats::massive);
   tally(unresolved, &RegionStats::unresolved);
-  return regions;
 }
 
 void TelemetryHub::record(IntervalTelemetry record) {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/device_set.hpp"
 #include "core/frame.hpp"
@@ -36,7 +37,7 @@ struct TelemetryConfig {
 };
 
 /// The five engine phases of one observe() call as trace spans:
-/// advance (ring roll), halo (serial halo-exchange routing), apply_staged
+/// advance (state roll), halo (serial halo-exchange routing), apply_staged
 /// (per-shard staged-op drain), plane (4r-closure build), characterize
 /// (Theorems 5-7 fan-out) — ms and lane skew lifted from FrameStats.
 [[nodiscard]] std::vector<TraceSpan> spans_of(const FrameStats& stats);
@@ -66,11 +67,23 @@ class TelemetryHub {
   [[nodiscard]] std::uint32_t region_of(const Point& p) const noexcept;
 
   /// Tallies one interval's fleet and verdict sets into per-region stats
-  /// (sized to regions()).
+  /// (sized to regions()), scanning every device's position.
   [[nodiscard]] std::vector<RegionStats> tally_regions(
       const Snapshot& positions, const DeviceSet& abnormal,
       const DeviceSet& isolated, const DeviceSet& massive,
       const DeviceSet& unresolved) const;
+
+  /// The same tally over the engine's rolling state, with the per-region
+  /// device counts kept up to date from the roll's moved list (each moved
+  /// device leaves its prev region for its curr region) instead of a scan
+  /// of the fleet. `roll` is the engine's FrameEngine::intervals(); the
+  /// full scan is the resync, run on the first call and whenever `roll` is
+  /// not the one right after the previous call's — an interval the hub
+  /// did not see.
+  [[nodiscard]] std::vector<RegionStats> tally_regions(
+      std::uint64_t roll, const StatePair& state, const DeviceSet& abnormal,
+      const DeviceSet& isolated, const DeviceSet& massive,
+      const DeviceSet& unresolved);
 
   /// Stores the record and folds it into the registry's standard metric
   /// set (intervals/decisions/degraded counters, the step-latency
@@ -83,9 +96,16 @@ class TelemetryHub {
   void annotate_ingest(std::uint64_t interval, const IngestSample& sample);
 
  private:
+  /// Adds the verdict sets, located at `positions`, to `regions`.
+  void tally_sets(std::vector<RegionStats>& regions, const Snapshot& positions,
+                  const DeviceSet& abnormal, const DeviceSet& isolated,
+                  const DeviceSet& massive, const DeviceSet& unresolved) const;
+
   TelemetryConfig config_;
   MetricsRegistry registry_;
   TelemetryStore store_;
+  std::vector<std::uint32_t> region_devices_;  ///< per region, at counted_roll_
+  std::uint64_t counted_roll_ = 0;
 
   struct StandardIds {
     MetricId intervals_total;

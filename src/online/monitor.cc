@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace acn {
@@ -22,17 +23,18 @@ OnlineMonitor::OnlineMonitor(Config config)
   }
 }
 
+void OnlineMonitor::roster_mode_off(const char* method) {
+  throw std::logic_error(std::string("OnlineMonitor::") + method +
+                         ": roster mode is off");
+}
+
 DeviceId OnlineMonitor::admit(GatewayKey key, const Point& position) {
-  if (!roster_.has_value()) {
-    throw std::logic_error("OnlineMonitor::admit: roster mode is off");
-  }
+  if (!roster_.has_value()) roster_mode_off("admit");
   return roster_->admit(key, position);
 }
 
 void OnlineMonitor::retire(GatewayKey key) {
-  if (!roster_.has_value()) {
-    throw std::logic_error("OnlineMonitor::retire: roster mode is off");
-  }
+  if (!roster_.has_value()) roster_mode_off("retire");
   // A late force-close can race an explicit retirement (operator removal
   // vs. the ingestion layer's liveness expiry): the second retire of the
   // same gateway is a no-op, never a throw and never a second episode.
@@ -45,41 +47,52 @@ void OnlineMonitor::retire(GatewayKey key) {
 }
 
 void OnlineMonitor::report(GatewayKey key, const Point& position) {
-  if (!roster_.has_value()) {
-    throw std::logic_error("OnlineMonitor::report: roster mode is off");
-  }
+  if (!roster_.has_value()) roster_mode_off("report");
   roster_->report(key, position);
-}
-
-bool OnlineMonitor::try_report(GatewayKey key, const Point& position) {
-  if (!roster_.has_value()) {
-    throw std::logic_error("OnlineMonitor::try_report: roster mode is off");
-  }
-  return roster_->try_report(key, position);
 }
 
 IntervalReport OnlineMonitor::close_interval(
     std::span<const GatewayKey> abnormal_keys, bool degraded) {
-  if (!roster_.has_value()) {
-    throw std::logic_error("OnlineMonitor::close_interval: roster mode is off");
-  }
+  if (!roster_.has_value()) roster_mode_off("close_interval");
   const DeviceSet abnormal = roster_->abnormal_slots(abnormal_keys);
   roster_->end_interval();
-  return observe(roster_->snapshot(), abnormal, degraded);
+  const auto start = std::chrono::steady_clock::now();
+  std::optional<FrameEngine::Result> result;
+  if (engine_.primed()) {
+    roster_->changes(changes_);
+    result = engine_.observe(changes_, abnormal);
+  } else {
+    result = engine_.observe(roster_->snapshot(), abnormal);
+  }
+  // Only now, with the roll in: an observe() that threw keeps the set, and
+  // the next interval re-offers it (the roll drops what already landed).
+  roster_->clear_changes();
+  return finish_interval(result, abnormal, degraded, start);
 }
 
 const FleetRoster& OnlineMonitor::roster() const {
-  if (!roster_.has_value()) {
-    throw std::logic_error("OnlineMonitor::roster: roster mode is off");
-  }
+  if (!roster_.has_value()) roster_mode_off("roster");
   return *roster_;
 }
 
 IntervalReport OnlineMonitor::observe(Snapshot positions,
                                       const DeviceSet& abnormal,
                                       bool degraded) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point start = hub_ ? Clock::now() : Clock::time_point{};
+  if (roster_.has_value()) {
+    throw std::logic_error(
+        "OnlineMonitor::observe: roster mode feeds the engine through "
+        "close_interval()");
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const std::optional<FrameEngine::Result> result =
+      engine_.observe(std::move(positions), abnormal);
+  return finish_interval(result, abnormal, degraded, start);
+}
+
+IntervalReport OnlineMonitor::finish_interval(
+    const std::optional<FrameEngine::Result>& result,
+    const DeviceSet& abnormal, bool degraded,
+    std::chrono::steady_clock::time_point start) {
   // Episode-transition baselines: open + closed only ever grows by one per
   // episode opened, closed only by one per episode closed.
   const std::size_t episodes_started_before =
@@ -90,15 +103,6 @@ IntervalReport OnlineMonitor::observe(Snapshot positions,
   report.interval = interval_;
   report.abnormal = abnormal;
   report.degraded = degraded;
-
-  // The engine rolls its ring in place (the snapshot is moved, never
-  // copied), re-buckets only the devices that moved, and characterizes A_k
-  // over the shared motion plane — serially or across its worker pool.
-  const std::optional<FrameEngine::Result> result = engine_.observe(
-      SealedFrame{.interval = interval_,
-                  .positions = std::move(positions),
-                  .abnormal = abnormal,
-                  .degraded = degraded});
   if (result.has_value() && !abnormal.empty()) {
     const DeviceSet& ordered = engine_.state().abnormal();
     for (std::size_t i = 0; i < result->decisions.size(); ++i) {
@@ -124,12 +128,13 @@ IntervalReport OnlineMonitor::observe(Snapshot positions,
   // episode tallies), after every decision has been made — it cannot change
   // a verdict byte (tests/obs/telemetry_conformance_test.cc pins this).
   if (hub_) {
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
     obs::IntervalTelemetry record =
         obs::frame_record(interval_, ms, engine_.last_stats());
-    const Snapshot& fleet = engine_.state().curr();
-    record.devices = static_cast<std::uint32_t>(fleet.size());
+    const StatePair& state = engine_.state();
+    record.devices = static_cast<std::uint32_t>(state.n());
     record.abnormal = static_cast<std::uint32_t>(report.abnormal.size());
     record.isolated = static_cast<std::uint32_t>(report.isolated.size());
     record.massive = static_cast<std::uint32_t>(report.massive.size());
@@ -146,9 +151,9 @@ IntervalReport OnlineMonitor::observe(Snapshot positions,
         episodes_.closed().size() + episodes_.open_count() -
         episodes_started_before);
     record.episodes_open = episodes_.open_count();
-    record.regions = hub_->tally_regions(fleet, report.abnormal,
-                                         report.isolated, report.massive,
-                                         report.unresolved);
+    record.regions = hub_->tally_regions(engine_.intervals(), state,
+                                         report.abnormal, report.isolated,
+                                         report.massive, report.unresolved);
     hub_->record(std::move(record));
   }
 

@@ -7,14 +7,19 @@
 // a deployment embeds; everything below it (the FrameEngine's rolling
 // state, incremental fleet grid, motion plane, characterizer) is mechanism.
 //
-// Snapshots are MOVED into the engine's ring — the monitor retains no
-// per-interval copy of the fleet positions of its own.
+// The monitor retains no per-interval copy of the fleet positions of its
+// own. In roster mode it does not even build one: after the priming
+// snapshot, each closed interval reaches the engine as the roster's change
+// set — the slots whose coordinates changed — so a quiet interval costs
+// O(changed), not O(fleet).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/characterizer.hpp"
@@ -81,12 +86,14 @@ class OnlineMonitor {
 
   explicit OnlineMonitor(Config config);
 
-  /// Feeds the snapshot of interval k (moved into the engine's ring);
-  /// returns verdicts (empty report for the very first snapshot — no
-  /// motion to characterize yet). `degraded` marks an interval the
-  /// ingestion layer sealed under shed/defer/forced-close policy; it is
-  /// carried through to the report, never interpreted.
-  /// Throws std::invalid_argument if the fleet size or dimension changes.
+  /// Feeds the snapshot of interval k (moved into the engine); returns
+  /// verdicts (empty report for the very first snapshot — no motion to
+  /// characterize yet). `degraded` marks an interval the ingestion layer
+  /// sealed under shed/defer/forced-close policy; it is carried through to
+  /// the report, never interpreted. Throws std::invalid_argument if the
+  /// fleet size or dimension changes, std::logic_error in roster mode
+  /// (there close_interval() feeds the engine, and a snapshot fed past the
+  /// roster would desynchronize its change set from the engine's state).
   IntervalReport observe(Snapshot positions, const DeviceSet& abnormal,
                          bool degraded = false);
 
@@ -104,12 +111,17 @@ class OnlineMonitor {
   /// Updates an active gateway's reported QoS position for this interval.
   void report(GatewayKey key, const Point& position);
   /// report() that returns false instead of throwing when the key is not
-  /// active — the ingestion layer's per-device hot path (one roster lookup
-  /// for the check and the update together).
-  bool try_report(GatewayKey key, const Point& position);
-  /// Closes the interval: materializes the roster snapshot, maps the
-  /// abnormal gateway keys to slots (dropping retired and just-admitted
-  /// gateways), and feeds the engine — the churn-tolerant observe().
+  /// active, taking dim raw coordinates — the ingestion layer's per-device
+  /// hot path (one roster lookup for the check and the update together).
+  bool try_report(GatewayKey key, std::span<const double> position) {
+    if (!roster_.has_value()) roster_mode_off("try_report");
+    return roster_->try_report(key, position);
+  }
+  /// Closes the interval: maps the abnormal gateway keys to slots
+  /// (dropping retired and just-admitted gateways) and feeds the engine —
+  /// the churn-tolerant observe(). The first close primes the engine with
+  /// the roster snapshot; every later one hands it only the roster's
+  /// change set, which is cleared once the engine has rolled it in.
   /// `degraded` is the ingestion layer's quality marker (see observe()).
   IntervalReport close_interval(std::span<const GatewayKey> abnormal_keys,
                                 bool degraded = false);
@@ -129,6 +141,9 @@ class OnlineMonitor {
 
   [[nodiscard]] std::uint64_t intervals_seen() const noexcept { return interval_; }
 
+  /// The engine below the monitor (its rolling state, plane, stats).
+  [[nodiscard]] const FrameEngine& engine() const noexcept { return engine_; }
+
   /// Phase timings of the last interval (the engine's breakdown).
   [[nodiscard]] const FrameStats& last_stats() const noexcept {
     return engine_.last_stats();
@@ -143,11 +158,22 @@ class OnlineMonitor {
   }
 
  private:
+  [[noreturn]] static void roster_mode_off(const char* method);
+
+  /// Turns the engine's output for the interval into the report, and runs
+  /// the episode, adaptive and telemetry bookkeeping; `start` is when the
+  /// interval reached the engine.
+  IntervalReport finish_interval(
+      const std::optional<FrameEngine::Result>& result,
+      const DeviceSet& abnormal, bool degraded,
+      std::chrono::steady_clock::time_point start);
+
   Config config_;
   FrameEngine engine_;
   std::optional<AdaptiveSampler> sampler_;
   EpisodeTracker episodes_;
   std::optional<FleetRoster> roster_;  ///< engaged iff roster_capacity > 0
+  PositionUpdate changes_;             ///< roster change set, reused buffer
   std::unique_ptr<obs::TelemetryHub> hub_;  ///< engaged iff Config::telemetry
   std::uint64_t interval_ = 0;
 };

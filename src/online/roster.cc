@@ -1,6 +1,8 @@
 #include "online/roster.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace acn {
 
@@ -11,7 +13,8 @@ FleetRoster::FleetRoster(std::size_t capacity, std::size_t dim) : dim_(dim) {
   if (dim == 0 || dim > Point::kMaxDim / 2) {
     throw std::invalid_argument("FleetRoster: dimension out of range");
   }
-  positions_.assign(capacity, Point::zero(dim));
+  coords_.assign(capacity * dim, 0.0);
+  in_changed_.assign(capacity, 0);
   just_assigned_.assign(capacity, 0);
   slot_lane_.assign(capacity, kNoSlot);
   key_of_.assign(capacity, 0);
@@ -46,12 +49,13 @@ DeviceId FleetRoster::admit(GatewayKey key, const Point& position) {
   }
   if (free_.empty()) {
     throw std::invalid_argument("FleetRoster::admit: no free slot (capacity " +
-                                std::to_string(positions_.size()) + ")");
+                                std::to_string(capacity()) + ")");
   }
   const DeviceId slot = free_.front();
   free_.pop_front();
-  positions_[slot] = position;
+  write(slot, position.coords(), "FleetRoster::admit: bad position");
   just_assigned_[slot] = 1;
+  assigned_.push_back(slot);
   key_of_[slot] = key;
   occupied_[slot] = 1;
   slot_insert(key, slot);
@@ -69,19 +73,39 @@ void FleetRoster::retire(GatewayKey key) {
 }
 
 void FleetRoster::report(GatewayKey key, const Point& position) {
-  if (!try_report(key, position)) {
+  if (!try_report(key, position.coords())) {
     throw std::invalid_argument("FleetRoster::report: key not active");
   }
 }
 
-bool FleetRoster::try_report(GatewayKey key, const Point& position) {
-  const DeviceId slot = slot_lookup(key);
-  if (slot == kNoSlot) return false;
-  if (position.dim() != dim_ || !position.in_unit_box()) {
-    throw std::invalid_argument("FleetRoster::report: bad position");
+void FleetRoster::bad_position(const char* what) {
+  throw std::invalid_argument(what);
+}
+
+Snapshot FleetRoster::snapshot() const {
+  std::vector<Point> positions;
+  positions.reserve(capacity());
+  for (std::size_t slot = 0; slot < capacity(); ++slot) {
+    positions.emplace_back(
+        std::span<const double>(coords_.data() + slot * dim_, dim_));
   }
-  positions_[slot].assign_compact(position);
-  return true;
+  return Snapshot(std::move(positions));
+}
+
+void FleetRoster::changes(PositionUpdate& out) const {
+  out.ids.assign(changed_.begin(), changed_.end());
+  std::sort(out.ids.begin(), out.ids.end());
+  out.coords.clear();
+  out.coords.reserve(out.ids.size() * dim_);
+  for (const DeviceId slot : out.ids) {
+    const double* cell = coords_.data() + slot * dim_;
+    out.coords.insert(out.coords.end(), cell, cell + dim_);
+  }
+}
+
+void FleetRoster::clear_changes() {
+  for (const DeviceId slot : changed_) in_changed_[slot] = 0;
+  changed_.clear();
 }
 
 std::optional<DeviceId> FleetRoster::slot_of(GatewayKey key) const noexcept {
@@ -103,7 +127,8 @@ DeviceSet FleetRoster::abnormal_slots(std::span<const GatewayKey> keys) const {
 }
 
 void FleetRoster::end_interval() {
-  just_assigned_.assign(just_assigned_.size(), 0);
+  for (const DeviceId slot : assigned_) just_assigned_[slot] = 0;
+  assigned_.clear();
 }
 
 }  // namespace acn

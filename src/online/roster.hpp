@@ -18,12 +18,18 @@
 //     devices, not a motion, and must never reach the characterizer. This
 //     is what makes slot recycling *safe*, not merely convenient.
 //
+//   * positions are kept as dim() doubles per slot, and every write that
+//     changes a slot's coordinates records the slot in a change set; the
+//     monitor hands that set (not a copy of the fleet) to the engine once
+//     per interval and clears it once the engine has taken it.
+//
 // Verdict soundness under this parking scheme: motion families are computed
 // over A_k only (neighbourhoods are A_k-masked), so a parked slot — present
 // in the snapshot but never abnormal — cannot join any motion and cannot
 // influence any verdict. The conformance harness exercises exactly this.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -62,23 +68,39 @@ class FleetRoster {
   /// not active or the position is out of range.
   void report(GatewayKey key, const Point& position);
 
-  /// report() for the ingestion hot path: updates the position and returns
-  /// true iff the key is active — one lookup instead of an active() check
-  /// followed by report(). Still throws on a malformed position (a bad
-  /// claim is a caller bug, not churn).
-  bool try_report(GatewayKey key, const Point& position);
+  /// report() for the ingestion hot path: updates the position from dim()
+  /// raw coordinates and returns true iff the key is active — one lookup
+  /// instead of an active() check followed by report(). Still throws on a
+  /// malformed position (a bad claim is a caller bug, not churn).
+  bool try_report(GatewayKey key, std::span<const double> position) {
+    const DeviceId slot = slot_lookup(key);
+    if (slot == kNoSlot) return false;
+    write(slot, position, "FleetRoster::report: bad position");
+    return true;
+  }
 
   [[nodiscard]] bool active(GatewayKey key) const noexcept {
     return slot_lookup(key) != kNoSlot;
   }
   [[nodiscard]] std::optional<DeviceId> slot_of(GatewayKey key) const noexcept;
   [[nodiscard]] std::size_t active_count() const noexcept { return active_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return positions_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return occupied_.size(); }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
 
-  /// The dense fixed-size snapshot the engine ingests: active slots at
-  /// their reported position, parked slots frozen at their last one.
-  [[nodiscard]] Snapshot snapshot() const { return Snapshot(positions_); }
+  /// The dense fixed-size snapshot the engine is primed with: active slots
+  /// at their reported position, parked slots frozen at their last one.
+  /// O(capacity) — later intervals reach the engine as changes().
+  [[nodiscard]] Snapshot snapshot() const;
+
+  /// The change set: slots whose coordinates changed since the last
+  /// clear_changes(), ascending, each with its current coordinates —
+  /// written into `out` (previous contents replaced). A slot moved and
+  /// moved back within the interval is still listed; the engine's roll
+  /// drops it by comparison. Leaves the set in place.
+  void changes(PositionUpdate& out) const;
+  /// Empties the change set — once the engine has rolled it in, so an
+  /// interval whose observe() throws first loses no change.
+  void clear_changes();
 
   /// Maps abnormal gateway keys to slots, dropping keys that are not active
   /// and slots (re)assigned since the last end_interval() — a device with
@@ -106,9 +128,32 @@ class FleetRoster {
   }
   void slot_insert(GatewayKey key, DeviceId slot);
   void slot_erase(GatewayKey key);
+  /// Writes a slot's coordinates and records the slot in the change set,
+  /// iff any coordinate differs from the stored one. Coordinates equal to
+  /// the stored ones were range-checked when they were written, so only a
+  /// change is validated (before anything is written).
+  void write(DeviceId slot, std::span<const double> position, const char* what) {
+    if (position.size() != dim_) bad_position(what);
+    double* cell = coords_.data() + slot * dim_;
+    bool changed = false;
+    for (std::size_t i = 0; i < dim_; ++i) changed |= cell[i] != position[i];
+    if (!changed) return;
+    for (const double x : position) {
+      if (x < 0.0 || x > 1.0) bad_position(what);
+    }
+    std::copy(position.begin(), position.end(), cell);
+    if (in_changed_[slot] == 0) {
+      in_changed_[slot] = 1;
+      changed_.push_back(slot);
+    }
+  }
+  [[noreturn]] static void bad_position(const char* what);
 
   std::size_t dim_;
-  std::vector<Point> positions_;            ///< per slot, active or parked
+  std::vector<double> coords_;              ///< dim_ per slot, active or parked
+  std::vector<DeviceId> changed_;           ///< change set, first-write order
+  std::vector<std::uint8_t> in_changed_;    ///< per slot: listed in changed_
+  std::vector<DeviceId> assigned_;          ///< slots (re)assigned this interval
   std::vector<std::uint8_t> just_assigned_; ///< per slot, reset by end_interval
   std::vector<DeviceId> slot_lane_;         ///< key < capacity; kNoSlot = absent
   std::unordered_map<GatewayKey, DeviceId> slot_spill_;  ///< key >= capacity

@@ -31,7 +31,6 @@ TEST(GridChurn, IncrementalMatchesScratchUnderChurn) {
     grid.rebuild(state);
     std::vector<bool> present(n, true);
 
-    std::vector<DeviceId> moved;
     std::vector<DeviceId> out;
     for (int k = 0; k < 12; ++k) {
       // Plan the interval's churn: present devices retire w.p. 0.08, parked
@@ -56,12 +55,12 @@ TEST(GridChurn, IncrementalMatchesScratchUnderChurn) {
       }
       for (const DeviceId j : admitting) next[j] = random_point(rng);
 
-      state.advance(Snapshot(std::move(next)), DeviceSet{}, &moved);
+      state.advance(Snapshot(std::move(next)), DeviceSet{});
 
       // Devices absent from the grid must not go through apply() — they are
       // re-inserted explicitly (the documented FleetGrid churn contract).
       std::vector<DeviceId> moved_present;
-      for (const DeviceId j : moved) {
+      for (const DeviceId j : state.moved()) {
         if (present[j]) moved_present.push_back(j);
       }
       grid.apply(state, moved_present);

@@ -120,7 +120,6 @@ TEST_P(ShardedGridSweep, MatchesUnshardedAcrossRollsAndChurn) {
   };
   expect_same_queries("rebuild", -1);
 
-  std::vector<DeviceId> moved;
   for (int round = 0; round < 5; ++round) {
     // A third of the fleet jumps uniformly (stripe-crossing moves included),
     // the rest stays put — so staged queues mix inserts, removes, and
@@ -130,9 +129,9 @@ TEST_P(ShardedGridSweep, MatchesUnshardedAcrossRollsAndChurn) {
         positions[j] = Point{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
       }
     }
-    state.advance(Snapshot(positions), DeviceSet{}, &moved);
-    reference.apply(state, moved);
-    sharded.stage(state, moved);
+    state.advance(Snapshot(positions), DeviceSet{});
+    reference.apply(state, state.moved());
+    sharded.stage(state, state.moved());
     sharded.apply_staged(state, &pool);
     EXPECT_EQ(sharded.staged_op_count(), 0u);
     EXPECT_EQ(sharded.device_count(), reference.device_count());

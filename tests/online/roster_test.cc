@@ -1,6 +1,7 @@
 // FleetRoster: sparse gateway keys over a fixed dense slot universe —
-// FIFO slot recycling, parked positions, and the just-assigned abnormality
-// guard that keeps slot splices away from the characterizer.
+// FIFO slot recycling, parked positions, the just-assigned abnormality
+// guard that keeps slot splices away from the characterizer, and the
+// change set the engine is fed instead of a snapshot.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,6 +126,46 @@ TEST(FleetRoster, ConstructorValidates) {
   EXPECT_THROW(FleetRoster(0, 2), std::invalid_argument);
   EXPECT_THROW(FleetRoster(4, 0), std::invalid_argument);
   EXPECT_THROW(FleetRoster(4, Point::kMaxDim), std::invalid_argument);
+}
+
+TEST(FleetRoster, ChangeSetListsOnlySlotsWhoseCoordinatesChanged) {
+  FleetRoster roster(4, 2);
+  (void)roster.admit(101, Point{0.1, 0.2});
+  (void)roster.admit(102, Point{0.0, 0.0});  // same as its parked origin
+  roster.end_interval();
+  PositionUpdate update;
+  roster.changes(update);
+  EXPECT_EQ(update.ids, (std::vector<DeviceId>{0}));
+  EXPECT_EQ(update.coords, (std::vector<double>{0.1, 0.2}));
+  roster.clear_changes();
+
+  const std::vector<double> same = {0.1, 0.2};
+  EXPECT_TRUE(roster.try_report(101, same));     // equal: not a change
+  roster.report(102, Point{-0.0, 0.0});          // -0.0 == 0.0: not a change
+  EXPECT_FALSE(roster.try_report(999, same));    // unknown key
+  roster.changes(update);
+  EXPECT_TRUE(update.ids.empty());
+
+  // Changed and changed back is still offered (the roll drops it); a
+  // later slot written first still comes out ascending.
+  roster.report(102, Point{0.5, 0.5});
+  roster.report(101, Point{0.3, 0.3});
+  roster.report(101, Point{0.1, 0.2});
+  roster.changes(update);
+  EXPECT_EQ(update.ids, (std::vector<DeviceId>{0, 1}));
+  EXPECT_EQ(update.coords, (std::vector<double>{0.1, 0.2, 0.5, 0.5}));
+
+  // A rejected write leaves coordinates and change set untouched.
+  EXPECT_THROW((void)roster.try_report(101, std::vector<double>{0.4, 1.5}),
+               std::invalid_argument);
+  EXPECT_THROW((void)roster.try_report(101, std::vector<double>{0.4}),
+               std::invalid_argument);
+  roster.changes(update);
+  EXPECT_EQ(update.coords, (std::vector<double>{0.1, 0.2, 0.5, 0.5}));
+  roster.clear_changes();
+  roster.changes(update);
+  EXPECT_TRUE(update.ids.empty());
+  EXPECT_EQ(roster.snapshot()[1], (Point{0.5, 0.5}));
 }
 
 }  // namespace
