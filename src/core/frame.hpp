@@ -2,11 +2,12 @@
 //
 // The seed pipeline paid O(n) work per interval before a single theorem
 // ran: OnlineMonitor copied the incoming snapshot for its retained state,
-// StatePair recomputed every joint coordinate and SoA column from scratch,
-// and a fresh GridIndex re-bucketed A_k — every step, for every device.
-// The paper's locality result (§V, Corollary 8: a verdict depends only on
-// trajectories within 4r of the deciding device) licenses the opposite
-// architecture, which this engine implements:
+// and StatePair recomputed every joint coordinate and SoA column from
+// scratch — every step, for every device. The paper's locality result (§V,
+// Corollary 8: a verdict depends only on A_k and the trajectories within 4r
+// of the deciding device) licenses the opposite architecture, which this
+// engine implements in four steps per interval — roll the state, index A_k,
+// build the plane, characterize:
 //
 //   * the rolling StatePair takes the interval as a change set — the
 //     devices whose position may have changed, with their new coordinates
@@ -14,20 +15,16 @@
 //     — and rewrites prev/curr, joint and SoA columns in place for the
 //     devices the last roll moved and the ones this change set moves: the
 //     roll's cost tracks |moved|, i.e. the devices errors displaced, not n;
-//   * the fleet grid is sharded spatially (ShardMap stripes of [0,1]^d,
-//     sized to the worker count) and maintained incrementally: only devices
-//     whose grid cell key changed are re-bucketed, via a serial
-//     halo-exchange pass routing each move's bucket edits to the owner
-//     shards' staging queues followed by a lock-free per-shard parallel
-//     apply; 4r queries read neighbour shards' between-interval-immutable
-//     maps directly;
+//   * A_k is indexed afresh every interval (a GridIndex over the abnormal
+//     devices only, cell side 2r): motions are sets of abnormal devices, so
+//     normal devices never need indexing, and the index costs O(|A_k|);
 //   * the MotionPlane is built over exactly the 4r-closure of A_k — the
-//     plane covers A_k, each device's neighbourhood is the A_k-restricted
-//     2r-ball from the fleet grid, and every Theorem 5/6/7 decision reads
-//     only those neighbourhoods and their neighbours' families (the 4r
-//     shell); nothing beyond the closure is ever touched. The
-//     per-component family enumeration and the per-device characterization
-//     both fan out over the engine's persistent WorkerPool;
+//     plane covers A_k, each device's neighbourhood is its 2r-ball in the
+//     A_k index, and every Theorem 5/6/7 decision reads only those
+//     neighbourhoods and their neighbours' families (the 4r shell); nothing
+//     beyond the closure is ever touched. The per-component family
+//     enumeration and the per-device characterization both fan out over the
+//     engine's persistent WorkerPool;
 //   * verdicts are byte-identical to a from-scratch rebuild
 //     (tests/core/frame_equivalence_test.cc sweeps this, teleports and
 //     all-abnormal edge cases included).
@@ -46,7 +43,6 @@
 #include "common/device_set.hpp"
 #include "common/worker_pool.hpp"
 #include "core/characterizer.hpp"
-#include "core/grid_index.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/motion_plane.hpp"
 #include "core/params.hpp"
@@ -82,20 +78,15 @@ struct LaneBreakdown {
 /// what bench_characterize_all reports per phase.
 struct FrameStats {
   double state_ms = 0.0;         ///< state roll (joint/SoA in-place update)
-  double grid_ms = 0.0;          ///< grid re-bucketing (staging + apply)
+  double grid_ms = 0.0;          ///< A_k indexing (the per-interval GridIndex)
   double plane_ms = 0.0;         ///< motion-plane build over the 4r-closure
   double characterize_ms = 0.0;  ///< Theorems 5-7 over A_k
-  /// The halo-exchange slice of grid_ms: the serial pass routing each move
-  /// to its old/new owner shards' staging queues.
-  double halo_ms = 0.0;
   std::size_t moved = 0;         ///< devices whose position changed
   std::size_t abnormal = 0;      ///< |A_k|
   std::size_t components = 0;    ///< 2r-interaction components enumerated
   std::size_t motions = 0;       ///< distinct maximal motions interned
-  unsigned shards = 0;           ///< spatial shards of the fleet grid
 
   // Per-lane skew of each fan-out phase (see LaneBreakdown).
-  LaneBreakdown grid_lanes;         ///< per-shard staged-op application
   LaneBreakdown plane_query_lanes;  ///< plane pass 1 (neighbourhood queries)
   LaneBreakdown plane_enum_lanes;   ///< plane pass 2 (component enumeration)
   LaneBreakdown characterize_lanes; ///< per-device decision fan-out
@@ -105,8 +96,7 @@ struct FrameStats {
   /// ACN_KERNEL_CYCLES=1 was set at startup).
   kernels::Counters kernel;
 
-  /// Sum of the phase timers: the engine-side wall clock of one interval
-  /// (halo_ms is a slice of grid_ms, so it is not added again).
+  /// Sum of the phase timers: the engine-side wall clock of one interval.
   [[nodiscard]] double total_ms() const noexcept {
     return state_ms + grid_ms + plane_ms + characterize_ms;
   }
@@ -121,18 +111,13 @@ class FrameEngine {
     /// is the |A_k| below which the characterization fan-out runs inline
     /// (the one threshold, shared with the standalone batch APIs).
     CharacterizeOptions characterize;
-    /// Lanes for every per-interval fan-out (staged grid apply, plane
-    /// build, per-device characterization): 1 = inline serial
+    /// Lanes for every per-interval fan-out (plane build, per-device
+    /// characterization): 1 = inline serial
     /// (default), 0 = hardware concurrency. Verdicts are identical for
     /// every value.
     unsigned threads = 1;
     /// Component count below which the plane build runs inline.
     std::size_t component_fanout = 2;
-    /// Spatial shards of the fleet grid (ShardMap stripes): 0 sizes the
-    /// partition to the worker count (the per-core-cell default), any other
-    /// value pins it. Verdicts are byte-identical for every shard count —
-    /// sharding moves bucket ownership, never query results.
-    unsigned shards = 0;
     /// Byte cap on the per-interval motion-plane arenas (neighbourhoods,
     /// window covers, interned motions, membership bitsets). An adversarial
     /// placement can make the motion-family arenas combinatorially large;
@@ -188,33 +173,15 @@ class FrameEngine {
   [[nodiscard]] WorkerPool& pool() noexcept { return pool_; }
 
  private:
-  /// Everything after the roll: A_k mask, grid, plane, characterization.
-  /// `t0` is the roll's start, `previous_abnormal` the A_{k-1} to unmask.
+  /// Everything after the roll: A_k index, plane, characterization.
+  /// `t0` is the roll's start.
   Result characterize_interval(std::chrono::steady_clock::time_point t0,
-                               const DeviceSet& previous_abnormal,
                                const kernels::Counters& kernel_before);
-
-  /// NeighbourSource over the fleet grid restricted to the abnormal mask.
-  class AbnormalSource final : public NeighbourSource {
-   public:
-    AbnormalSource(const FrameEngine& engine) : engine_(engine) {}
-    void within_into(DeviceId j, double radius,
-                     std::vector<DeviceId>& out) const override {
-      engine_.grid_.within_into(*engine_.state_, j, radius,
-                                engine_.abnormal_flag_, out);
-    }
-
-   private:
-    const FrameEngine& engine_;
-  };
 
   Config config_;
   std::optional<StatePair> state_;  ///< engaged by the priming snapshot
-  WorkerPool pool_;          ///< before grid_: its lane count sizes the shards
-  ShardedFleetGrid grid_;
-  AbnormalSource source_;
-  std::vector<std::uint8_t> abnormal_flag_;  ///< byte per device, A_k mask
-  std::optional<MotionPlane> plane_;         ///< rebuilt per interval
+  WorkerPool pool_;
+  std::optional<MotionPlane> plane_;  ///< rebuilt per interval
   FrameStats stats_;
   std::uint64_t intervals_ = 0;
 };

@@ -11,8 +11,7 @@ OnlineMonitor::OnlineMonitor(Config config)
     : config_(config),
       engine_(FrameEngine::Config{.model = config.model,
                                   .characterize = config.characterize,
-                                  .threads = config.characterize_threads,
-                                  .shards = config.shards}),
+                                  .threads = config.characterize_threads}),
       episodes_(config.episode_quiet_intervals) {
   if (config_.adaptive.has_value()) sampler_.emplace(*config_.adaptive);
   if (config_.roster_capacity > 0) {

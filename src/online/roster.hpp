@@ -1,7 +1,7 @@
 // FleetRoster: the explicit device add/remove path for churned fleets.
 //
-// The whole pipeline below the monitor — StatePair::advance, FleetGrid,
-// MotionPlane arenas — is built on a FIXED dense id universe: slot j of
+// The whole pipeline below the monitor — StatePair::advance, the A_k
+// index, MotionPlane arenas — is built on a FIXED dense id universe: slot j of
 // snapshot k must describe the same device as slot j of snapshot k-1
 // (StatePair::advance precondition). A production fleet is not like that:
 // gateways join and leave mid-stream (size-varying fleets, La Fond et al.,
@@ -24,7 +24,7 @@
 //     per interval and clears it once the engine has taken it.
 //
 // Verdict soundness under this parking scheme: motion families are computed
-// over A_k only (neighbourhoods are A_k-masked), so a parked slot — present
+// over A_k only (only A_k is indexed), so a parked slot — present
 // in the snapshot but never abnormal — cannot join any motion and cannot
 // influence any verdict. The conformance harness exercises exactly this.
 #pragma once
