@@ -68,10 +68,12 @@ FrameEngine::Result FrameEngine::characterize_interval(
   // pool.
   t0 = Clock::now();
   PlaneBuildLanes plane_lanes;
+  std::vector<std::uint32_t> rank_table;
+  if (plane_.has_value()) rank_table = plane_->release_rank_table();
   plane_.reset();
   plane_.emplace(state, config_.model, std::move(index), &pool_,
                  config_.component_fanout, &plane_lanes,
-                 config_.plane_arena_budget);
+                 config_.plane_arena_budget, std::move(rank_table));
   stats_.plane_ms = ms_since(t0);
   stats_.plane_query_lanes = LaneBreakdown::of(plane_lanes.query_lane_ms);
   stats_.plane_enum_lanes = LaneBreakdown::of(plane_lanes.enumerate_lane_ms);

@@ -22,7 +22,9 @@
 //     plane covers A_k, each device's neighbourhood is its 2r-ball in the
 //     A_k index, and every Theorem 5/6/7 decision reads only those
 //     neighbourhoods and their neighbours' families (the 4r shell); nothing
-//     beyond the closure is ever touched. The per-component family
+//     beyond the closure is ever touched. The plane's id -> rank table is
+//     handed from one interval's plane to the next with only the old A_k's
+//     entries reset, so it too costs O(|A_k|). The per-component family
 //     enumeration and the per-device characterization both fan out over the
 //     engine's persistent WorkerPool;
 //   * verdicts are byte-identical to a from-scratch rebuild

@@ -73,7 +73,8 @@ void scan_cells(const std::unordered_map<std::uint64_t, std::vector<DeviceId>>& 
 
 std::vector<std::vector<DeviceId>> connected_components(
     std::span<const DeviceId> ids,
-    const std::function<std::span<const DeviceId>(std::size_t)>& neighbours_of) {
+    const std::function<std::span<const DeviceId>(std::size_t)>& neighbours_of,
+    std::span<const std::uint32_t> rank_of) {
   const std::size_t m = ids.size();
   std::vector<std::uint32_t> parent(m);
   for (std::size_t i = 0; i < m; ++i) parent[i] = static_cast<std::uint32_t>(i);
@@ -84,15 +85,9 @@ std::vector<std::vector<DeviceId>> connected_components(
     }
     return x;
   };
-  // Dense id -> rank map: one O(max id) table turns the per-edge rank
-  // lookup into an array read. The edge count is the profile here (every
-  // neighbourhood list entry is an edge), so per-edge binary searches were
-  // the single hottest line of the plane build at n = 50k.
-  std::vector<std::uint32_t> rank_map(m == 0 ? 0 : ids.back() + 1);
-  for (std::size_t i = 0; i < m; ++i) rank_map[ids[i]] = static_cast<std::uint32_t>(i);
   for (std::size_t rank = 0; rank < m; ++rank) {
     for (const DeviceId other : neighbours_of(rank)) {
-      parent[find(static_cast<std::uint32_t>(rank))] = find(rank_map[other]);
+      parent[find(static_cast<std::uint32_t>(rank))] = find(rank_of[other]);
     }
   }
   // Scanning ranks in ascending order keeps every component sorted by id

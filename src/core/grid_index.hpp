@@ -30,12 +30,16 @@ inline constexpr double kMinGridCell = 1e-9;
 /// Connected components over the sorted `ids`, where `neighbours_of(rank)`
 /// yields the (sorted) neighbours of ids[rank] among `ids` — the
 /// 2r-interaction graph when the lists come from a window-radius grid
-/// query. Every component is sorted by id; components are ordered by
-/// smallest member. Shared by the MotionPlane build (arena-backed lists)
-/// and PartitionEnumerator::components (on-the-fly grid queries).
+/// query — and `rank_of[id]` is the rank of every id in `ids` (an id-indexed
+/// table: the per-edge lookup is the hot line, so it is an array read; the
+/// caller owns the table, so its cost is the caller's). Every component is
+/// sorted by id; components are ordered by smallest member. Shared by the
+/// MotionPlane build (arena-backed lists, the plane's own rank table) and
+/// PartitionEnumerator::components (on-the-fly grid queries).
 [[nodiscard]] std::vector<std::vector<DeviceId>> connected_components(
     std::span<const DeviceId> ids,
-    const std::function<std::span<const DeviceId>(std::size_t)>& neighbours_of);
+    const std::function<std::span<const DeviceId>(std::size_t)>& neighbours_of,
+    std::span<const std::uint32_t> rank_of);
 
 class GridIndex {
  public:

@@ -28,8 +28,9 @@ bool run_is_strict_subset(std::span<const DeviceId> small,
 /// (offset, length) run of sorted DeviceIds in one arena, deduplicated on
 /// insert — distinct windows over a tight blob produce the same cover many
 /// times, and every duplicate would otherwise ride through the maximality
-/// filter. clear() keeps all capacity, so one store serves every device of
-/// the plane build without per-device allocation.
+/// filter. clear() keeps the arrays' capacity (and the hash table's, unless
+/// it has far outgrown the last enumeration), so one store serves every
+/// component of the plane build without per-component allocation.
 struct CoverStore {
   std::vector<DeviceId> arena;
   std::vector<std::uint32_t> offsets{0};
@@ -39,9 +40,20 @@ struct CoverStore {
   ArenaBudget* budget = nullptr;
 
   void clear() {
+    // unordered_map::clear() keeps the bucket array and zeroes every
+    // bucket, so its cost tracks the largest enumeration this store ever
+    // served, not the last one: one 75k-cover component would make every
+    // later clear zero ~85k buckets. Once the table is well past what the
+    // last enumeration needed, drop it instead; the next one regrows it in
+    // time proportional to its own covers.
+    constexpr std::size_t kKeptBuckets = 1024;
+    if (index.bucket_count() > kKeptBuckets && index.bucket_count() > 4 * count()) {
+      decltype(index)().swap(index);  // `index = {}` would keep the buckets
+    } else {
+      index.clear();
+    }
     arena.clear();
     offsets.assign(1, 0);
-    index.clear();  // keeps the bucket array; cost tracks own entry count
   }
   [[nodiscard]] std::size_t count() const noexcept { return offsets.size() - 1; }
   [[nodiscard]] std::span<const DeviceId> run(std::uint32_t i) const noexcept {
@@ -342,8 +354,12 @@ MotionPlane::MotionPlane(const StatePair& state, Params params)
 
 MotionPlane::MotionPlane(const StatePair& state, Params params, GridIndex index,
                          WorkerPool* pool, std::size_t component_fanout,
-                         PlaneBuildLanes* lanes, std::uint64_t arena_budget_bytes)
-    : state_(state), params_(params), grid_(std::move(index)) {
+                         PlaneBuildLanes* lanes, std::uint64_t arena_budget_bytes,
+                         std::vector<std::uint32_t> rank_table)
+    : state_(state),
+      params_(params),
+      grid_(std::move(index)),
+      rank_lookup_(std::move(rank_table)) {
   params_.validate();
   if (grid_.member_count() != state_.abnormal().size()) {
     throw std::invalid_argument("MotionPlane: index does not cover A_k");
@@ -359,7 +375,11 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
   const std::size_t m = ids_.size();
 
   // Dense rank lookup: rank_of / covers / intern_run become array reads.
-  rank_lookup_.assign(m == 0 ? 0 : ids_.back() + 1, kNoRank);
+  // The table arrives all-kNoRank (empty, or recycled by the engine through
+  // release_rank_table()), so only growth past its size and A_k's entries
+  // cost anything: O(|A_k|) per interval once the table has grown.
+  const std::size_t span = m == 0 ? 0 : ids_.back() + 1;
+  if (rank_lookup_.size() < span) rank_lookup_.resize(span, kNoRank);
   for (std::size_t rank = 0; rank < m; ++rank) {
     rank_lookup_[ids_[rank]] = static_cast<std::uint32_t>(rank);
   }
@@ -420,10 +440,14 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
   // is slid once instead of once per member. Validated against brute-force
   // subset enumeration by tests/core/motion_oracle_test.cc.
   const std::vector<std::vector<DeviceId>> components =
-      connected_components(ids_, [&](std::size_t rank) {
-        return std::span<const DeviceId>{nbr_arena_.data() + nbr_offsets_[rank],
-                                         nbr_offsets_[rank + 1] - nbr_offsets_[rank]};
-      });
+      connected_components(
+          ids_,
+          [&](std::size_t rank) {
+            return std::span<const DeviceId>{
+                nbr_arena_.data() + nbr_offsets_[rank],
+                nbr_offsets_[rank + 1] - nbr_offsets_[rank]};
+          },
+          rank_lookup_);
   const std::size_t comp_count = components.size();
 
   // Component-indexed arenas: each component's sorted member list is the
@@ -703,6 +727,11 @@ bool MotionPlane::motion_contains(MotionId m, DeviceId id) const noexcept {
   if (rank == kNoRank || comp_of_[rank] != motion_component_[m]) return false;
   const std::uint32_t cr = comp_rank_of_[rank];
   return (motion_bits(m)[cr >> 6] >> (cr & 63)) & 1;
+}
+
+std::vector<std::uint32_t> MotionPlane::release_rank_table() {
+  for (const DeviceId j : ids_) rank_lookup_[j] = kNoRank;
+  return std::move(rank_lookup_);
 }
 
 std::size_t MotionPlane::rank_of(DeviceId j) const {

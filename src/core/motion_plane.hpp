@@ -156,10 +156,18 @@ class MotionPlane {
   /// given, receives per-lane busy times of both fan-outs.
   /// `arena_budget_bytes` caps the total bytes the build may park in its
   /// arenas (0 = unlimited); exceeding it throws ArenaBudgetExceeded with
-  /// the plane half-built but the engine state untouched.
+  /// the plane half-built but the engine state untouched. `rank_table` is
+  /// a previous plane's release_rank_table() (or empty): reusing it makes
+  /// the id -> rank table cost O(|A_k|) instead of O(largest abnormal id).
   MotionPlane(const StatePair& state, Params params, GridIndex index,
               WorkerPool* pool = nullptr, std::size_t component_fanout = 2,
-              PlaneBuildLanes* lanes = nullptr, std::uint64_t arena_budget_bytes = 0);
+              PlaneBuildLanes* lanes = nullptr, std::uint64_t arena_budget_bytes = 0,
+              std::vector<std::uint32_t> rank_table = {});
+
+  /// Hands the id -> rank table to the next plane's build: resets this
+  /// plane's |A_k| entries and moves the table out. The plane answers no
+  /// query afterwards; destroy it.
+  [[nodiscard]] std::vector<std::uint32_t> release_rank_table();
 
   [[nodiscard]] const StatePair& state() const noexcept { return state_; }
   [[nodiscard]] const Params& params() const noexcept { return params_; }
@@ -275,9 +283,10 @@ class MotionPlane {
   std::vector<std::uint32_t> motion_offsets_;  ///< motion_count() + 1 entries
   std::vector<DeviceId> motion_arena_;
 
-  // Dense id -> A_k-rank lookup (kNoRank for non-abnormal), sized one past
-  // the largest abnormal id: rank_of/covers in O(1) instead of a binary
-  // search — the single hottest call of the characterize phase before this.
+  // Dense id -> A_k-rank lookup (kNoRank for non-abnormal), sized at least
+  // one past the largest abnormal id: rank_of/covers in O(1) instead of a
+  // binary search — the single hottest call of the characterize phase
+  // before this. Recycled across planes (release_rank_table()).
   static constexpr std::uint32_t kNoRank = 0xFFFFFFFFu;
   std::vector<std::uint32_t> rank_lookup_;
 

@@ -27,10 +27,17 @@ std::vector<std::vector<DeviceId>> PartitionEnumerator::components() const {
   // within() filters by exact joint distance, so the edge set is identical.
   const GridIndex grid(state_, abnormal, std::max(params_.window(), kMinGridCell));
   std::vector<DeviceId> neighbours;
-  return connected_components(ids, [&](std::size_t rank) {
-    grid.within_into(ids[rank], params_.window(), neighbours);
-    return std::span<const DeviceId>(neighbours);
-  });
+  std::vector<std::uint32_t> rank_of(ids.back() + 1);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    rank_of[ids[i]] = static_cast<std::uint32_t>(i);
+  }
+  return connected_components(
+      ids,
+      [&](std::size_t rank) {
+        grid.within_into(ids[rank], params_.window(), neighbours);
+        return std::span<const DeviceId>(neighbours);
+      },
+      rank_of);
 }
 
 namespace {

@@ -36,6 +36,7 @@ IngestPipeline::IngestPipeline(Config config)
   if (config_.capacity == 0) {
     throw std::invalid_argument("IngestPipeline: capacity must be >= 1");
   }
+  roster_ = &monitor_.roster();
   config_.watermark.validate();
   shed_possible_ = config_.overload.shed_claim_threshold !=
                    static_cast<std::size_t>(-1);
@@ -53,6 +54,7 @@ void IngestPipeline::prime(
   // Seal interval 0: primes the engine's ring with the roster snapshot and
   // clears the just-admitted markers, so interval 1 trajectories exist.
   (void)monitor_.close_interval({});
+  sealed_revision_ = roster_->revision();
   primed_ = true;
 }
 
@@ -109,7 +111,8 @@ void IngestPipeline::push(const QosReport& report) {
     ++counters_.shed_claims;
     frame->shed_engaged = true;
   } else {
-    switch (frame->apply(report)) {
+    const StagingFrame::Apply applied = frame->apply(report);
+    switch (applied) {
       case StagingFrame::Apply::kAccepted:
         ++counters_.accepted;
         break;
@@ -120,6 +123,15 @@ void IngestPipeline::push(const QosReport& report) {
       case StagingFrame::Apply::kDuplicate:
         ++counters_.duplicates;
         break;
+    }
+    // The seal visits only touched keys (see seal()): a newly staged claim
+    // is touched unless sealing it would provably change nothing — it is
+    // unflagged, and the roster already holds it for an active key.
+    if ((applied == StagingFrame::Apply::kAccepted ||
+         applied == StagingFrame::Apply::kSuperseded) &&
+        (report.abnormal ||
+         !roster_->holds(report.device, report.claim.coords()))) {
+      frame->touch(report.device);
     }
   }
   seal_ready();
@@ -193,15 +205,33 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
   bool degraded = forced || frame.shed_engaged;
   if (forced) ++counters_.forced_closes;
 
-  // Apply the staged claims in key order (deterministic under any delivery
+  // Which staged cells to visit. An untouched cell holds the claim the
+  // roster held for its (active) key when the cell was staged, unflagged;
+  // reporting it again is a no-op as long as the roster entry has not
+  // changed since. Earlier seals re-touch what they change (below), so
+  // only two things force a walk over every staged cell: liveness, which
+  // must hear every reporting key, and roster writes made through
+  // monitor() since the last seal — those may have invalidated the
+  // staging-time comparison in every frame open now.
+  const FleetRoster& roster = *roster_;
+  if (roster.revision() != sealed_revision_) {
+    walk_all_through_ = frames_.empty() ? interval : frames_.rbegin()->first;
+  }
+  const bool liveness_on = liveness_.enabled();
+  const bool walk_all = liveness_on || interval <= walk_all_through_;
+
+  // Apply the visited claims in key order (deterministic under any delivery
   // permutation), streaming each cell's coordinates straight into the
   // roster. First-seen keys are auto-admitted; when the roster is full the
-  // report is refused and the interval marked degraded.
+  // report is refused and the interval marked degraded. A key whose roster
+  // entry this changes is touched in every other open frame: a later
+  // interval may have staged it, untouched, against the entry this seal
+  // just overwrote.
   std::vector<GatewayKey> flagged;
   std::vector<Point> flagged_claims;
-  const FleetRoster& roster = monitor_.roster();
-  const bool liveness_on = liveness_.enabled();
-  frame.for_each_sorted([&](GatewayKey key, const StagingFrame::Cell& cell) {
+  std::size_t rejected = 0;
+  const auto visit = [&](GatewayKey key, const StagingFrame::Cell& cell) {
+    const std::uint64_t revision = roster.revision();
     if (monitor_.try_report(key, cell.claim)) {
       if (liveness_on && liveness_.reported(key, interval)) {
         ++counters_.revived_devices;
@@ -209,6 +239,7 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
     } else {
       if (roster.active_count() >= roster.capacity()) {
         ++counters_.admit_rejected;
+        ++rejected;
         degraded = true;
         return;
       }
@@ -216,17 +247,25 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
       if (liveness_on) liveness_.admitted(key, interval);
       ++counters_.admitted_devices;
     }
-    ++closed.reported;
+    if (roster.revision() != revision) {
+      for (auto& [later, other] : frames_) other.touch(key);
+    }
     if (cell.flagged) {
       flagged.push_back(key);
       flagged_claims.emplace_back(cell.claim);
     }
-  });
+  };
+  if (walk_all) {
+    frame.for_each_sorted(visit);
+  } else {
+    frame.for_each_touched(visit);
+  }
+  closed.reported = frame.device_count() - rejected;
   if (poolable) {
     frame.reset();
     frame_pool_.push_back(std::move(frame));
   }
-  closed.replayed = monitor_.roster().active_count() - closed.reported;
+  closed.replayed = roster.active_count() - closed.reported;
   counters_.replayed_claims += closed.replayed;
 
   // Liveness: devices silent past the threshold walk the retry ladder;
@@ -235,7 +274,7 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
   // this interval was just marked heard, so it can never expire here.
   for (const GatewayKey key : liveness_.sealed(interval)) {
     liveness_.forget(key);
-    if (!monitor_.roster().active(key)) continue;  // externally retired
+    if (!roster.active(key)) continue;  // externally retired
     monitor_.retire(key);
     ++counters_.retired_devices;
     closed.retired.push_back(key);
@@ -285,6 +324,7 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
     hub->annotate_ingest(closed.report.interval, sample);
   }
 
+  sealed_revision_ = roster.revision();
   ready_.push_back(std::move(closed));
   ++next_to_seal_;
 }

@@ -39,6 +39,18 @@
 //     Degraded intervals are explicitly marked, never silently wrong and
 //     never a stall.
 //
+// Sealing costs O(changed), not O(n): push() diffs each staged claim
+// against the roster and touches the frame's cell only if sealing it could
+// matter (flagged, not active, or a claim the roster does not hold), and
+// each seal re-touches, in every other open frame, the keys whose roster
+// entry it changed. seal() then visits the touched keys in key order;
+// `reported` is the frame's device count minus the refused admissions.
+// Two cases still walk every staged cell: liveness tracking (every
+// reporting key must be heard), and roster writes made through monitor()
+// between seals (detected by FleetRoster::revision(); every frame open at
+// that point is walked in full). Admissions, the change set and the
+// verdicts are identical to walking every cell.
+//
 // Sources on other threads hand reports over through a BoundedReportQueue
 // (block = lossless backpressure, reject = shed at the edge); the pipeline
 // itself is single-threaded — sealing order is the stream's order.
@@ -172,6 +184,13 @@ class IngestPipeline {
   OnlineMonitor monitor_;
   OverloadController overload_;
   LivenessTracker liveness_;
+  const FleetRoster* roster_ = nullptr;  ///< monitor_'s roster (the pipeline never moves)
+  /// roster_->revision() at the end of the last seal (or prime()): a seal
+  /// that reads another value knows monitor() wrote the roster since.
+  std::uint64_t sealed_revision_ = 0;
+  /// Seals of intervals up to this one walk every staged cell: their frames
+  /// were open when a roster write through monitor() was detected.
+  std::uint64_t walk_all_through_ = 0;
   std::map<std::uint64_t, StagingFrame> frames_;  ///< open intervals, ordered
   /// Cache of the most recently pushed-to frame (map nodes are stable):
   /// consecutive reports overwhelmingly target the same interval, so the

@@ -8,6 +8,7 @@ void StagingFrame::configure(std::size_t dense_limit, std::size_t dim) {
   dim_ = (dim == 0 || dim > Point::kMaxDim) ? 0 : dim;
   if (dim_ == 0) dense_limit = 0;
   present_.assign(dense_limit, 0);
+  touched_blocks_.assign((dense_limit + 4095) / 4096, 0);
   seq_.assign(dense_limit, 0);
   flag_.assign(dense_limit, 0);
   coords_.assign(dense_limit * dim_, 0.0);
@@ -45,6 +46,7 @@ std::vector<std::pair<GatewayKey, StagingFrame::Staged>> StagingFrame::sorted()
 
 void StagingFrame::reset() {
   std::fill(present_.begin(), present_.end(), 0);
+  std::fill(touched_blocks_.begin(), touched_blocks_.end(), 0);
   dense_count_ = 0;
   odd_.clear();
   spill_.clear();

@@ -20,11 +20,24 @@
 // roster boundary exactly as an unstaged malformed claim would. The
 // pipeline sets the lane to the roster capacity and pools sealed frames,
 // so in the steady state a report costs one bounds check and a few
-// indexed stores, and sealing streams a tenth of the memory a fat-cell
-// layout would.
+// indexed stores.
+//
+// Touched keys: most staged cells of a quiet fleet repeat the claim the
+// roster already holds, and sealing such a cell changes nothing. The
+// pipeline therefore touch()es a key while staging it whenever sealing it
+// could matter (flagged, not active, or a claim that differs from the
+// roster's), and again whenever an earlier seal changes the key's roster
+// entry; for_each_touched() then visits only those keys (plus the spill,
+// which is always visited) in the same ascending order for_each_sorted()
+// walks all of them. The touch mark is a spare bit of the lane's presence
+// byte; one more bit per 64-key block records which blocks hold a mark, so
+// the touched walk reads those blocks only, in key order with no sort: a
+// seal costs O(lane limit / 4096 + 64 x touched blocks), and never more
+// than the full walk when every key is touched.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -80,32 +93,43 @@ class StagingFrame {
       return resolve_fat(it->second, report);
     }
     const std::size_t key = report.device;
-    const std::uint8_t state = present_[key];
+    const std::uint8_t state = present_[key] & kWhere;
     if (state == 0) {
       ++dense_count_;
       if (report.claim.dim() == dim_) {
-        present_[key] = 1;
+        present_[key] = kLane;
         store_lane(key, report);
       } else {
-        present_[key] = 2;
+        present_[key] = kOdd;
         stage_fat(odd_[key], report);
       }
       return Apply::kAccepted;
     }
-    const std::uint64_t have = state == 1 ? seq_[key] : odd_[key].seq;
+    const std::uint64_t have = state == kLane ? seq_[key] : odd_[key].seq;
     if (report.arrival_seq == have) return Apply::kDuplicate;
     if (report.arrival_seq < have) return Apply::kStale;
+    const std::uint8_t touched = present_[key] & kTouched;
     if (report.claim.dim() == dim_) {
-      if (state == 2) {
+      if (state == kOdd) {
         odd_.erase(key);
-        present_[key] = 1;
+        present_[key] = touched | kLane;
       }
       store_lane(key, report);
     } else {
-      if (state == 1) present_[key] = 2;
+      if (state == kLane) present_[key] = touched | kOdd;
       stage_fat(odd_[key], report);
     }
     return Apply::kSuperseded;
+  }
+
+  /// Marks a staged key for the next for_each_touched(). Idempotent; a
+  /// no-op for a key with nothing staged (so a seal may touch a key in
+  /// every open frame without asking which frames stage it) and for a
+  /// spill key (the spill is always visited).
+  void touch(GatewayKey key) {
+    if (key >= present_.size() || present_[key] == 0) return;
+    present_[key] |= kTouched;
+    touched_blocks_[key >> 12] |= std::uint64_t{1} << ((key >> 6) & 63);
   }
 
   /// The staged cell for `key`, or nullopt if nothing staged.
@@ -130,21 +154,34 @@ class StagingFrame {
       if (present_[key] == 0) continue;
       fn(static_cast<GatewayKey>(key), cell(key));
     }
-    if (spill_.empty()) return;
-    std::vector<GatewayKey> keys;
-    keys.reserve(spill_.size());
-    for (const auto& [key, staged] : spill_) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    for (const GatewayKey key : keys) fn(key, view(spill_.at(key)));
+    for_each_spill(fn);
+  }
+
+  /// for_each_sorted() restricted to the touched lane keys and the spill:
+  /// the same visits in the same order, minus the untouched lane cells.
+  template <typename Fn>
+  void for_each_touched(Fn&& fn) const {
+    for (std::size_t word = 0; word < touched_blocks_.size(); ++word) {
+      for (std::uint64_t bits = touched_blocks_[word]; bits != 0; bits &= bits - 1) {
+        const std::size_t begin = (word * 64 + std::countr_zero(bits)) * 64;
+        const std::size_t end = std::min(begin + 64, present_.size());
+        for (std::size_t key = begin; key < end; ++key) {
+          if ((present_[key] & kTouched) != 0) {
+            fn(static_cast<GatewayKey>(key), cell(key));
+          }
+        }
+      }
+    }
+    for_each_spill(fn);
   }
 
   /// Staged entries sorted by key, copied out (test convenience; the
-  /// pipeline seals through for_each_sorted()).
+  /// pipeline seals through for_each_touched() or for_each_sorted()).
   [[nodiscard]] std::vector<std::pair<GatewayKey, Staged>> sorted() const;
 
-  /// Returns the frame to its post-configure() state, keeping the dense
-  /// lane's storage — the pipeline pools sealed frames to keep frame
-  /// creation off the per-interval path.
+  /// Returns the frame to its post-configure() state (no cell staged or
+  /// touched), keeping the dense lane's storage — the pipeline pools
+  /// sealed frames to keep frame creation off the per-interval path.
   void reset();
 
   /// Set once by the pipeline when the frame is created (its age drives
@@ -177,17 +214,36 @@ class StagingFrame {
     return Cell{staged.seq, staged.claim.coords(), staged.flagged};
   }
 
+  /// The spill's entries in ascending key order.
+  template <typename Fn>
+  void for_each_spill(Fn& fn) const {
+    if (spill_.empty()) return;
+    std::vector<GatewayKey> keys;
+    keys.reserve(spill_.size());
+    for (const auto& [key, staged] : spill_) keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    for (const GatewayKey key : keys) fn(key, view(spill_.at(key)));
+  }
+
   /// The dense-lane cell of a staged key (present_[key] != 0).
   [[nodiscard]] Cell cell(std::size_t key) const {
-    if (present_[key] == 2) return view(odd_.at(key));
+    if ((present_[key] & kWhere) == kOdd) return view(odd_.at(key));
     return Cell{seq_[key],
                 std::span<const double>(coords_.data() + key * dim_, dim_),
                 flag_[key] != 0};
   }
 
-  // Dense lane, structure-of-arrays; present_[key]: 0 = empty, 1 = staged
-  // in the lane, 2 = staged in odd_ (claim dim != dim_).
+  // Dense lane, structure-of-arrays. present_[key]: 0 = empty, else
+  // kLane (staged in the lane) or kOdd (staged in odd_, claim dim != dim_),
+  // plus kTouched once touch()ed.
+  static constexpr std::uint8_t kLane = 1;
+  static constexpr std::uint8_t kOdd = 2;
+  static constexpr std::uint8_t kWhere = kLane | kOdd;
+  static constexpr std::uint8_t kTouched = 4;
   std::vector<std::uint8_t> present_;
+  /// Bit b of word w: block w * 64 + b (keys [64 x block, 64 x block + 64))
+  /// holds a touched key.
+  std::vector<std::uint64_t> touched_blocks_;
   std::vector<std::uint64_t> seq_;
   std::vector<std::uint8_t> flag_;
   std::vector<double> coords_;  ///< dim_ doubles per dense cell

@@ -59,6 +59,7 @@ DeviceId FleetRoster::admit(GatewayKey key, const Point& position) {
   key_of_[slot] = key;
   occupied_[slot] = 1;
   slot_insert(key, slot);
+  ++revision_;
   return slot;
 }
 
@@ -70,6 +71,7 @@ void FleetRoster::retire(GatewayKey key) {
   slot_erase(key);
   occupied_[slot] = 0;
   free_.push_back(slot);  // position stays parked where it last reported
+  ++revision_;
 }
 
 void FleetRoster::report(GatewayKey key, const Point& position) {

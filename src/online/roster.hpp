@@ -23,6 +23,12 @@
 //     monitor hands that set (not a copy of the fleet) to the engine once
 //     per interval and clears it once the engine has taken it.
 //
+//   * a revision counter advances on every admit, every retire and every
+//     write that changes a slot, and holds() answers "would reporting this
+//     claim change anything?" — together they let the ingestion layer diff
+//     claims against the roster while it stages them, so its seal visits
+//     only the keys whose claim, flag or activity differs instead of all n.
+//
 // Verdict soundness under this parking scheme: motion families are computed
 // over A_k only (only A_k is indexed), so a parked slot — present
 // in the snapshot but never abnormal — cannot join any motion and cannot
@@ -82,6 +88,24 @@ class FleetRoster {
   [[nodiscard]] bool active(GatewayKey key) const noexcept {
     return slot_lookup(key) != kNoSlot;
   }
+  /// True iff `key` is active and its slot already holds exactly
+  /// `position` (dim() coordinates) — i.e. try_report(key, position) would
+  /// change nothing. False for inactive keys and for any other dimension.
+  [[nodiscard]] bool holds(GatewayKey key,
+                           std::span<const double> position) const noexcept {
+    const DeviceId slot = slot_lookup(key);
+    if (slot == kNoSlot || position.size() != dim_) return false;
+    const double* cell = coords_.data() + slot * dim_;
+    for (std::size_t i = 0; i < dim_; ++i) {
+      if (cell[i] != position[i]) return false;
+    }
+    return true;
+  }
+  /// Advances on every admit(), every retire() and every report that
+  /// changes a slot's coordinates (a report equal to the stored position
+  /// does not count). Two equal readings bracket a span in which the
+  /// roster did not change.
+  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
   [[nodiscard]] std::optional<DeviceId> slot_of(GatewayKey key) const noexcept;
   [[nodiscard]] std::size_t active_count() const noexcept { return active_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return occupied_.size(); }
@@ -142,6 +166,7 @@ class FleetRoster {
       if (x < 0.0 || x > 1.0) bad_position(what);
     }
     std::copy(position.begin(), position.end(), cell);
+    ++revision_;
     if (in_changed_[slot] == 0) {
       in_changed_[slot] = 1;
       changed_.push_back(slot);
@@ -158,6 +183,7 @@ class FleetRoster {
   std::vector<DeviceId> slot_lane_;         ///< key < capacity; kNoSlot = absent
   std::unordered_map<GatewayKey, DeviceId> slot_spill_;  ///< key >= capacity
   std::size_t active_ = 0;
+  std::uint64_t revision_ = 0;              ///< see revision()
   std::vector<GatewayKey> key_of_;          ///< per slot; meaningful iff occupied
   std::vector<std::uint8_t> occupied_;      ///< per slot
   std::deque<DeviceId> free_;               ///< FIFO recycle queue

@@ -120,6 +120,65 @@ TEST(StagingFrame, DenseLaneSpillAndResetKeepSemantics) {
   EXPECT_EQ(frame.device_count(), 1u);
 }
 
+TEST(StagingFrame, TouchedWalkVisitsTouchedKeysAndSpillInKeyOrder) {
+  StagingFrame frame;
+  frame.configure(8, 2);
+  for (const GatewayKey d : {6ULL, 1ULL, 3ULL, 5ULL, 20ULL}) {
+    (void)frame.apply(make_report(d, 1, 0.1 * static_cast<double>(d % 8), 1));
+  }
+  QosReport odd = make_report(2, 1, 0.2, 1);
+  odd.claim = Point{0.1, 0.2, 0.3};  // odd dimension: parks off the lane
+  (void)frame.apply(odd);
+
+  frame.touch(5);
+  frame.touch(1);
+  frame.touch(5);   // idempotent
+  frame.touch(4);   // nothing staged: no-op
+  frame.touch(2);   // odd-dimension cells take the mark too
+  frame.touch(20);  // spill: always visited anyway
+  frame.touch(21);  // spill key with nothing staged: no-op
+
+  const auto visited = [&frame] {
+    std::vector<std::pair<GatewayKey, std::size_t>> keys;  // key, claim dim
+    frame.for_each_touched([&keys](GatewayKey key, const StagingFrame::Cell& cell) {
+      keys.emplace_back(key, cell.claim.size());
+    });
+    return keys;
+  };
+  using Visit = std::vector<std::pair<GatewayKey, std::size_t>>;
+  EXPECT_EQ(visited(), (Visit{{1, 2}, {2, 3}, {5, 2}, {20, 2}}));
+
+  // A supersession keeps the mark, also when the cell changes storage.
+  QosReport fixed = make_report(2, 1, 0.4, 2);
+  EXPECT_EQ(frame.apply(fixed), StagingFrame::Apply::kSuperseded);
+  EXPECT_EQ(frame.apply(make_report(5, 1, 0.7, 2)), StagingFrame::Apply::kSuperseded);
+  EXPECT_EQ(visited(), (Visit{{1, 2}, {2, 2}, {5, 2}, {20, 2}}));
+  // The full walk is unaffected by marks.
+  EXPECT_EQ(frame.sorted().size(), 6u);
+
+  // reset() clears every mark; a reused frame starts untouched.
+  frame.reset();
+  EXPECT_TRUE(visited().empty());
+  (void)frame.apply(make_report(5, 2, 0.5, 1));
+  EXPECT_TRUE(visited().empty());
+  frame.touch(5);
+  EXPECT_EQ(visited(), (Visit{{5, 2}}));
+}
+
+TEST(StagingFrame, TouchedWalkIsInKeyOrderAcrossBlocks) {
+  StagingFrame frame;
+  frame.configure(9000, 2);
+  const std::vector<GatewayKey> staged = {8999, 64, 4096, 0, 5000, 63, 4095, 4159};
+  for (const GatewayKey d : staged) (void)frame.apply(make_report(d, 1, 0.5, 1));
+  for (const GatewayKey d : {4096ULL, 8999ULL, 63ULL, 0ULL, 4095ULL, 64ULL, 4159ULL}) {
+    frame.touch(d);
+  }
+  std::vector<GatewayKey> visited;
+  frame.for_each_touched(
+      [&visited](GatewayKey key, const StagingFrame::Cell&) { visited.push_back(key); });
+  EXPECT_EQ(visited, (std::vector<GatewayKey>{0, 63, 64, 4095, 4096, 4159, 8999}));
+}
+
 TEST(LivenessTracker, DisabledTracksNothing) {
   LivenessTracker tracker(LivenessConfig{});  // silent_intervals = 0: off
   tracker.admitted(1, 0);

@@ -168,5 +168,42 @@ TEST(FleetRoster, ChangeSetListsOnlySlotsWhoseCoordinatesChanged) {
   EXPECT_EQ(roster.snapshot()[1], (Point{0.5, 0.5}));
 }
 
+TEST(FleetRoster, HoldsAndRevisionTrackEveryChange) {
+  FleetRoster roster(4, 2);
+  std::uint64_t revision = roster.revision();
+  const auto advanced = [&roster, &revision] {
+    const bool moved = roster.revision() != revision;
+    revision = roster.revision();
+    return moved;
+  };
+  (void)roster.admit(7, Point{0.25, 0.5});
+  EXPECT_TRUE(advanced());
+  const std::vector<double> here{0.25, 0.5};
+  const std::vector<double> there{0.5, 0.5};
+  EXPECT_TRUE(roster.holds(7, here));
+  EXPECT_FALSE(roster.holds(7, there));
+  EXPECT_FALSE(roster.holds(8, here));                          // not active
+  EXPECT_FALSE(roster.holds(7, std::vector<double>{0.25}));     // wrong dim
+  EXPECT_FALSE(roster.holds(99, here));                         // spill key
+
+  // A report equal to the stored position changes nothing, not even the
+  // revision; a moving one advances it.
+  EXPECT_TRUE(roster.try_report(7, here));
+  EXPECT_FALSE(advanced());
+  EXPECT_TRUE(roster.try_report(7, there));
+  EXPECT_TRUE(advanced());
+  EXPECT_TRUE(roster.holds(7, there));
+
+  roster.retire(7);
+  EXPECT_TRUE(advanced());
+  EXPECT_FALSE(roster.holds(7, there));  // parked there, but not active
+  (void)roster.admit(7, Point{0.5, 0.5});
+  EXPECT_TRUE(advanced());
+  // Interval bookkeeping is not a change.
+  roster.end_interval();
+  roster.clear_changes();
+  EXPECT_FALSE(advanced());
+}
+
 }  // namespace
 }  // namespace acn
