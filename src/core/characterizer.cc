@@ -21,14 +21,18 @@ Characterizer::Characterizer(const StatePair& state, Params params,
 Characterizer::Characterizer(const MotionPlane& plane, CharacterizeOptions options)
     : plane_(&plane), options_(options), oracle_(plane) {}
 
-Characterizer::Split Characterizer::split_neighbourhood(DeviceId j) const {
-  const MotionPlane& plane = *plane_;
-  Split split;
+namespace {
 
-  // Word-parallel over j's component rank space. D_k(j) is the OR of the
-  // membership bitsets of j's dense motions; walking its set bits in rank
-  // order yields the members ascending by id (the comp-rank universe is the
-  // sorted member list), exactly the order the sorted-union path produced.
+/// Walks D_k(j) — the union of j's dense motions — ascending by id,
+/// calling visit(comp_rank, ell, in_j) per member. Word-parallel over j's
+/// component rank space: D_k(j) is the OR of the membership bitsets of j's
+/// dense motions, and comp-rank order is id order. ell is in J_k(j) iff
+/// every dense motion of ell contains j: one bit test in the intersection
+/// bitset of ell's dense class (ell is in a dense motion of j, so its class
+/// exists). Reads only W-bar_k(j), so every device of j's dense class walks
+/// the same sets.
+template <typename Visit>
+void walk_dense_union(const MotionPlane& plane, DeviceId j, Visit&& visit) {
   const std::uint32_t ci = plane.component_of(j);
   const auto comp = plane.component_members(ci);
   const std::size_t words = plane.component_words(ci);
@@ -38,87 +42,92 @@ Characterizer::Split Characterizer::split_neighbourhood(DeviceId j) const {
     const auto bits = plane.motion_bits(mid);
     for (std::size_t k = 0; k < words; ++k) d_bits[k] |= bits[k];
   }
-
-  // J/L split: ell joins J_k(j) iff every dense motion of ell contains j —
-  // one precomputed bit test (j's comp-rank in ell's dense-intersection
-  // bitset; all-ones when ell has no dense motions, matching the vacuous
-  // truth of the original all-of loop).
   const std::uint32_t jcr = plane.comp_rank_of(j);
-  std::vector<DeviceId> d_members;
-  std::vector<DeviceId> j_members;
-  std::vector<DeviceId> l_members;
   for (std::size_t k = 0; k < words; ++k) {
     std::uint64_t w = d_bits[k];
     while (w != 0) {
       const std::size_t cr = k * 64 + static_cast<std::size_t>(std::countr_zero(w));
       w &= w - 1;
       const DeviceId ell = comp[cr];
-      d_members.push_back(ell);
-      if (cr == jcr) {
-        j_members.push_back(ell);  // j's own dense motions all contain j
-        continue;
-      }
-      const auto inter = plane.dense_intersection_bits(ell);
-      if ((inter[jcr >> 6] >> (jcr & 63)) & 1) {
-        j_members.push_back(ell);
-      } else {
-        l_members.push_back(ell);
-      }
+      const auto inter = plane.class_intersection_bits(plane.dense_class(ell));
+      visit(cr, ell, ((inter[jcr >> 6] >> (jcr & 63)) & 1) != 0);
     }
   }
+}
+
+}  // namespace
+
+Characterizer::Split Characterizer::split_neighbourhood(DeviceId j) const {
+  std::vector<DeviceId> d_members;
+  std::vector<DeviceId> j_members;
+  std::vector<DeviceId> l_members;
+  walk_dense_union(*plane_, j, [&](std::size_t, DeviceId ell, bool in_j) {
+    d_members.push_back(ell);
+    (in_j ? j_members : l_members).push_back(ell);
+  });
+  Split split;
   split.d = DeviceSet::from_sorted(std::move(d_members));
   split.j = DeviceSet::from_sorted(std::move(j_members));
   split.l = DeviceSet::from_sorted(std::move(l_members));
   return split;
 }
 
-Decision Characterizer::characterize_device(DeviceId j) const {
-  const MotionPlane& plane = *plane_;
-  if (!plane.covers(j)) {
-    throw std::invalid_argument("characterize: device " + std::to_string(j) +
-                                " is not in A_k");
-  }
-  Decision decision;
-  decision.maximal_motion_count = plane.maximal(j).size();
-
-  // Theorem 5: no dense motion containing j  =>  isolated.
-  const auto dense_j = plane.dense(j);
-  decision.dense_motion_count = dense_j.size();
-  if (dense_j.empty()) {
-    decision.cls = AnomalyClass::kIsolated;
-    decision.rule = DecisionRule::kTheorem5;
-    return decision;
-  }
-
+bool Characterizer::theorem6(DeviceId j) const {
   // Theorem 6 (Algorithm 3): some maximal dense motion of j intersects
   // J_k(j) in more than tau devices  =>  massive. (|M ∩ J| > tau gives the
   // dense motion M ∩ J ⊆ J_k(j) required by the theorem, and conversely any
   // dense B ⊆ J_k(j) extends to a maximal M in W-bar(j) with |M ∩ J| > tau.)
-  const Split split = split_neighbourhood(j);
   // |M ∩ J| as AND + popcount over j's component rank space. The kernel
   // computes popcount(a & ~b), so J is handed over complemented; motion
   // bitsets never set tail bits past the component size, so complement tail
   // bits are harmless.
-  {
-    const std::uint32_t ci = plane.component_of(j);
-    const std::size_t words = plane.component_words(ci);
-    thread_local std::vector<std::uint64_t> not_j_bits;
-    not_j_bits.assign(words, ~std::uint64_t{0});
-    for (const DeviceId member : split.j) {
-      const std::uint32_t cr = plane.comp_rank_of(member);
-      not_j_bits[cr >> 6] &= ~(1ULL << (cr & 63));
-    }
-    const kernels::Ops& ops = kernels::dispatch();
-    for (const MotionPlane::MotionId mid : dense_j) {
-      if (ops.popcount_andnot(plane.motion_bits(mid).data(), not_j_bits.data(),
-                              words) > plane.params().tau) {
-        decision.cls = AnomalyClass::kMassive;
-        decision.rule = DecisionRule::kTheorem6;
-        return decision;
-      }
+  const MotionPlane& plane = *plane_;
+  const std::size_t words = plane.component_words(plane.component_of(j));
+  thread_local std::vector<std::uint64_t> not_j_bits;
+  not_j_bits.assign(words, ~std::uint64_t{0});
+  walk_dense_union(plane, j, [&](std::size_t cr, DeviceId, bool in_j) {
+    if (in_j) not_j_bits[cr >> 6] &= ~(1ULL << (cr & 63));
+  });
+  const kernels::Ops& ops = kernels::dispatch();
+  for (const MotionPlane::MotionId mid : plane.dense(j)) {
+    if (ops.popcount_andnot(plane.motion_bits(mid).data(), not_j_bits.data(),
+                            words) > plane.params().tau) {
+      return true;
     }
   }
+  return false;
+}
 
+std::vector<std::uint8_t> Characterizer::theorem6_by_class() const {
+  // Classes are numbered in order of their smallest member, so walking A_k
+  // ascending meets class c first exactly when c deciders are known; that
+  // smallest member decides for the class.
+  const MotionPlane& plane = *plane_;
+  std::vector<std::uint8_t> outcome;
+  outcome.reserve(plane.dense_class_count());
+  for (const DeviceId j : plane.state().abnormal()) {
+    if (plane.dense_class(j) == outcome.size()) outcome.push_back(theorem6(j) ? 1 : 0);
+  }
+  return outcome;
+}
+
+Decision Characterizer::decide(DeviceId j, bool theorem6_holds) const {
+  const MotionPlane& plane = *plane_;
+  Decision decision;
+  decision.maximal_motion_count = plane.maximal(j).size();
+
+  // Theorem 5: no dense motion containing j  =>  isolated.
+  decision.dense_motion_count = plane.dense(j).size();
+  if (decision.dense_motion_count == 0) {
+    decision.cls = AnomalyClass::kIsolated;
+    decision.rule = DecisionRule::kTheorem5;
+    return decision;
+  }
+  if (theorem6_holds) {
+    decision.cls = AnomalyClass::kMassive;
+    decision.rule = DecisionRule::kTheorem6;
+    return decision;
+  }
   if (!options_.run_full_nsc) {
     decision.cls = AnomalyClass::kUnresolved;
     decision.rule = DecisionRule::kTheorem6Only;
@@ -127,7 +136,7 @@ Decision Characterizer::characterize_device(DeviceId j) const {
 
   // Theorem 7 / Corollary 8 (Algorithms 4/5): search for a violating
   // collection; its existence certifies "unresolved", its absence "massive".
-  const NscOutcome outcome = search_violating_collection(j, split.l);
+  const NscOutcome outcome = search_violating_collection(j, split_neighbourhood(j).l);
   decision.collections_tested = outcome.nodes;
   if (outcome.exhausted) {
     decision.cls = AnomalyClass::kUnresolved;  // safe side: never over-claims
@@ -144,7 +153,13 @@ Decision Characterizer::characterize_device(DeviceId j) const {
 }
 
 Decision Characterizer::characterize(DeviceId j) {
-  return characterize_device(j);
+  const MotionPlane& plane = *plane_;
+  if (!plane.covers(j)) {
+    throw std::invalid_argument("characterize: device " + std::to_string(j) +
+                                " is not in A_k");
+  }
+  // A dense class of one: the same Theorem-6 test decide_all runs per class.
+  return decide(j, !plane.dense(j).empty() && theorem6(j));
 }
 
 namespace {
@@ -176,8 +191,9 @@ Characterizer::NscOutcome Characterizer::search_violating_collection(
   // collection element can only influence relation (4) through members it
   // shares with N(j). A base with no such member is removable from any
   // violating collection (dropping it keeps not-(4): the surviving motions
-  // of j are untouched), so it is pruned — exactly.
-  const auto neighbours = plane.neighbourhood(j);
+  // of j are untouched), so it is pruned — exactly. N(j) is a grid query:
+  // only the devices that reach Theorem 7 need it.
+  const std::vector<DeviceId> neighbours = plane.within(j, params.window());
 
   // The candidate scan below is word-parallel over j's component rank space
   // (every base and target motion lives in j's 2r-interaction component); the
@@ -470,10 +486,12 @@ Characterizer::NscOutcome Characterizer::search_violating_collection(
 
 std::vector<Decision> Characterizer::decide_all() {
   const DeviceSet& abnormal = plane_->state().abnormal();
+  const std::vector<std::uint8_t> t6 = theorem6_by_class();
   std::vector<Decision> decisions;
   decisions.reserve(abnormal.size());
   for (const DeviceId j : abnormal) {
-    decisions.push_back(characterize_device(j));
+    const std::uint32_t c = plane_->dense_class(j);
+    decisions.push_back(decide(j, c != MotionPlane::kNoDenseClass && t6[c] != 0));
   }
   return decisions;
 }
@@ -482,12 +500,16 @@ std::vector<Decision> Characterizer::decide_all_on(WorkerPool& pool,
                                                    std::size_t min_fanout,
                                                    unsigned max_lanes,
                                                    std::vector<double>* lane_ms) {
-  const DeviceSet& abnormal = plane_->state().abnormal();
+  const MotionPlane& plane = *plane_;
+  const DeviceSet& abnormal = plane.state().abnormal();
   const std::size_t m = abnormal.size();
+  // Theorem 6 once per dense class, serially (a blob is one class); the
+  // per-device rest — M(j) and the Theorem-7 search — fans out below.
+  const std::vector<std::uint8_t> t6 = theorem6_by_class();
   std::vector<Decision> decisions(m);
   // Costliest-first dispatch when the pool will actually engage: the shared
   // cursor hands out indices in order, so without reordering one monster
-  // device (big dense family x big neighbourhood — the NSC search's input)
+  // device (big dense family in a big component — the NSC search's input)
   // drawn late serializes the whole tail behind a single lane. Sorting an
   // index indirection by that cost proxy is classic LPT against skew. Each
   // decision is a pure read of the shared plane into its own slot, so the
@@ -498,8 +520,8 @@ std::vector<Decision> Characterizer::decide_all_on(WorkerPool& pool,
     std::vector<std::uint64_t> cost(m);
     for (std::size_t i = 0; i < m; ++i) {
       const DeviceId j = abnormal[i];
-      cost[i] = (1 + plane_->dense(j).size()) *
-                (1 + plane_->neighbourhood(j).size());
+      cost[i] = (1 + plane.dense(j).size()) *
+                (1 + plane.component_members(plane.component_of(j)).size());
     }
     order.resize(m);
     std::iota(order.begin(), order.end(), 0u);
@@ -512,7 +534,9 @@ std::vector<Decision> Characterizer::decide_all_on(WorkerPool& pool,
       m, min_fanout,
       [&](std::size_t i) {
         const std::size_t slot = reorder ? order[i] : i;
-        decisions[slot] = characterize_device(abnormal[slot]);
+        const DeviceId j = abnormal[slot];
+        const std::uint32_t c = plane.dense_class(j);
+        decisions[slot] = decide(j, c != MotionPlane::kNoDenseClass && t6[c] != 0);
       },
       max_lanes, lane_ms);
   return decisions;

@@ -14,8 +14,13 @@
 // of neighbours), matching the locality claim at the end of §V.
 //
 // All motion families are read from a snapshot-level MotionPlane built once
-// per (state, params): the Theorem 5/6 split walks interned motion runs
-// without materializing sets, and because each per-device decision is a
+// per (state, params). Theorems 5 and 6 read nothing but W-bar_k(j): J_k(j)
+// = {ell in D_k(j) : W-bar(ell) within W-bar(j)}, so D, J, L and the
+// Theorem 5/6 outcome are functions of j's dense class (the plane's devices
+// with equal W-bar), and the batch paths decide them once per class — a
+// massive blob is one class — with word-parallel bitsets, building no sets.
+// What stays per device is |M(j)| and the Theorem-7 search, the only step
+// that builds D/J/L as DeviceSets. Because each per-device decision is a
 // pure read of the plane, the batch paths fan A_k out over the persistent
 // WorkerPool (disjoint result slots, byte-identical to the serial walk).
 //
@@ -141,9 +146,10 @@ class Characterizer {
   [[nodiscard]] std::vector<Decision> decide_all_parallel(unsigned threads = 0);
 
   /// decide_all over a caller-owned pool (the streaming engine passes its
-  /// own); `min_fanout` is the |A_k| below which the loop runs inline. When
-  /// the pool engages, devices are dispatched costliest-first (dense-family
-  /// x neighbourhood size proxy) so one expensive device drawn late cannot
+  /// own); `min_fanout` is the |A_k| below which the loop runs inline. The
+  /// per-class Theorem 5/6 tests run first, inline. When the pool engages,
+  /// devices are dispatched costliest-first (dense-family x component size
+  /// proxy) so one expensive device drawn late cannot
   /// serialize the tail; slots are written by device, so results never
   /// depend on the ordering. `lane_ms`, when given, receives per-lane busy
   /// times (see WorkerPool::for_each).
@@ -175,7 +181,15 @@ class Characterizer {
     DeviceSet j;  ///< J_k(j)
     DeviceSet l;  ///< L_k(j)
   };
+  /// D/J/L of j. Reads only W-bar_k(j): equal for every device of j's
+  /// dense class. Built only for the public accessors and for devices that
+  /// reach Theorem 7.
   [[nodiscard]] Split split_neighbourhood(DeviceId j) const;
+  /// Theorem 6 at j (W-bar_k(j) non-empty) — the outcome of j's whole
+  /// dense class.
+  [[nodiscard]] bool theorem6(DeviceId j) const;
+  /// theorem6() for every dense class, indexed by class.
+  [[nodiscard]] std::vector<std::uint8_t> theorem6_by_class() const;
 
   struct NscOutcome {
     bool violating_found = false;
@@ -186,7 +200,9 @@ class Characterizer {
   /// state), so any number of pool lanes may run it concurrently.
   [[nodiscard]] NscOutcome search_violating_collection(DeviceId j,
                                                        const DeviceSet& l) const;
-  [[nodiscard]] Decision characterize_device(DeviceId j) const;
+  /// The decision for abnormal j, given its dense class's Theorem-6
+  /// outcome: Theorem 5, 6, or the per-device Theorem-7 search.
+  [[nodiscard]] Decision decide(DeviceId j, bool theorem6_holds) const;
   [[nodiscard]] CharacterizationSets bucket(const std::vector<Decision>& decisions) const;
 
   std::optional<MotionPlane> owned_plane_;  ///< engaged by the state ctor

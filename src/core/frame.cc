@@ -64,19 +64,17 @@ FrameEngine::Result FrameEngine::characterize_interval(
   GridIndex index = MotionPlane::index_abnormal(state, config_.model);
   stats_.grid_ms = ms_since(t0);
 
-  // Plane over the 4r-closure of A_k; both build passes fan out over the
-  // pool.
+  // Plane over A_k; the component enumeration fans out over the pool.
   t0 = Clock::now();
-  PlaneBuildLanes plane_lanes;
+  std::vector<double> enumerate_lane_ms;
   std::vector<std::uint32_t> rank_table;
   if (plane_.has_value()) rank_table = plane_->release_rank_table();
   plane_.reset();
   plane_.emplace(state, config_.model, std::move(index), &pool_,
-                 config_.component_fanout, &plane_lanes,
+                 config_.component_fanout, &enumerate_lane_ms,
                  config_.plane_arena_budget, std::move(rank_table));
   stats_.plane_ms = ms_since(t0);
-  stats_.plane_query_lanes = LaneBreakdown::of(plane_lanes.query_lane_ms);
-  stats_.plane_enum_lanes = LaneBreakdown::of(plane_lanes.enumerate_lane_ms);
+  stats_.plane_enum_lanes = LaneBreakdown::of(enumerate_lane_ms);
   stats_.components = plane_->counters().enumeration_calls;
   stats_.motions = plane_->motion_count();
 

@@ -19,10 +19,10 @@
 //     devices only, cell side 2r): motions are sets of abnormal devices, so
 //     normal devices never need indexing, and the index costs O(|A_k|);
 //   * the MotionPlane is built over exactly the 4r-closure of A_k — the
-//     plane covers A_k, each device's neighbourhood is its 2r-ball in the
-//     A_k index, and every Theorem 5/6/7 decision reads only those
-//     neighbourhoods and their neighbours' families (the 4r shell); nothing
-//     beyond the closure is ever touched. The plane's id -> rank table is
+//     plane covers A_k, finds its 2r-interaction components by a
+//     breadth-first search over the A_k index, and every Theorem 5/6/7
+//     decision reads only those components' motion families (the 4r
+//     shell); nothing beyond the closure is ever touched. The plane's id -> rank table is
 //     handed from one interval's plane to the next with only the old A_k's
 //     entries reset, so it too costs O(|A_k|). The per-component family
 //     enumeration and the per-device characterization both fan out over the
@@ -89,8 +89,7 @@ struct FrameStats {
   std::size_t motions = 0;       ///< distinct maximal motions interned
 
   // Per-lane skew of each fan-out phase (see LaneBreakdown).
-  LaneBreakdown plane_query_lanes;  ///< plane pass 1 (neighbourhood queries)
-  LaneBreakdown plane_enum_lanes;   ///< plane pass 2 (component enumeration)
+  LaneBreakdown plane_enum_lanes;   ///< plane component enumeration
   LaneBreakdown characterize_lanes; ///< per-device decision fan-out
 
   /// SIMD-kernel invocation/volume deltas of this interval (all lanes
@@ -120,7 +119,7 @@ class FrameEngine {
     unsigned threads = 1;
     /// Component count below which the plane build runs inline.
     std::size_t component_fanout = 2;
-    /// Byte cap on the per-interval motion-plane arenas (neighbourhoods,
+    /// Byte cap on the per-interval motion-plane arenas (component tables,
     /// window covers, interned motions, membership bitsets). An adversarial
     /// placement can make the motion-family arenas combinatorially large;
     /// the cap turns that from an OOM kill into an ArenaBudgetExceeded

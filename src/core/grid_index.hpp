@@ -1,18 +1,21 @@
 // Uniform-grid spatial index over the abnormal devices, supporting the
 // neighbourhood queries of the local algorithms: N(j) = devices within 2r of
 // j in the joint space (the paper shows trajectories within 4r of a device
-// are all it ever needs — two grid hops).
+// are all it ever needs — two grid hops) — and the 2r-interaction
+// components the motion plane enumerates.
 //
 // The grid is built on *current* positions (cell side = 2r) and candidate
 // hits are filtered by exact joint distance, so correctness never depends on
-// the grid geometry — only speed does. Cell keys are packed incrementally
-// from per-dimension indices (no per-visit coordinate vector), and the
-// batch-query overload reuses a caller-owned output buffer so the motion
-// plane's per-device neighbourhood pass allocates nothing per visit.
+// the grid geometry — only speed does. Buckets are stored flat: one run of
+// member ranks per cell, ascending (ranks index the sorted member list, so
+// rank order is id order). A query merges its cells' filtered runs instead
+// of sorting, and reuses per-thread scratch, so it allocates nothing once
+// warm. components() is a breadth-first search over the same buckets that
+// drops each device from its bucket when it joins a component: a massive
+// anomaly costs O(|members|) distance tests, not one query per device.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -27,22 +30,27 @@ namespace acn {
 /// (MotionPlane, PartitionEnumerator) so they agree on the same geometry.
 inline constexpr double kMinGridCell = 1e-9;
 
-/// Connected components over the sorted `ids`, where `neighbours_of(rank)`
-/// yields the (sorted) neighbours of ids[rank] among `ids` — the
-/// 2r-interaction graph when the lists come from a window-radius grid
-/// query — and `rank_of[id]` is the rank of every id in `ids` (an id-indexed
-/// table: the per-edge lookup is the hot line, so it is an array read; the
-/// caller owns the table, so its cost is the caller's). Every component is
-/// sorted by id; components are ordered by smallest member. Shared by the
-/// MotionPlane build (arena-backed lists, the plane's own rank table) and
-/// PartitionEnumerator::components (on-the-fly grid queries).
-[[nodiscard]] std::vector<std::vector<DeviceId>> connected_components(
-    std::span<const DeviceId> ids,
-    const std::function<std::span<const DeviceId>(std::size_t)>& neighbours_of,
-    std::span<const std::uint32_t> rank_of);
-
 class GridIndex {
  public:
+  /// Connected components of the graph "joint distance <= radius" over the
+  /// indexed members.
+  struct Components {
+    /// Per member rank (position in the ascending member list): the index
+    /// of its component.
+    std::vector<std::uint32_t> of;
+    /// Component c is members[offsets[c], offsets[c + 1]); count() + 1
+    /// entries.
+    std::vector<std::uint32_t> offsets{0};
+    /// Every component ascending by id; components ordered by smallest
+    /// member.
+    std::vector<DeviceId> members;
+
+    [[nodiscard]] std::size_t count() const noexcept { return offsets.size() - 1; }
+    [[nodiscard]] std::span<const DeviceId> component(std::size_t c) const noexcept {
+      return {members.data() + offsets[c], offsets[c + 1] - offsets[c]};
+    }
+  };
+
   /// Indexes `members` (typically A_k) of `state` with cell side `cell`.
   /// Requires cell > 0.
   GridIndex(const StatePair& state, const DeviceSet& members, double cell);
@@ -52,18 +60,30 @@ class GridIndex {
   /// have to be a member. `radius` may exceed the cell size (4r queries).
   [[nodiscard]] std::vector<DeviceId> within(DeviceId j, double radius) const;
 
-  /// Same query into a caller-owned buffer (cleared first). The motion-plane
-  /// build issues one query per abnormal device; reusing `out` keeps that
-  /// pass allocation-free.
+  /// Same query into a caller-owned buffer (cleared first).
   void within_into(DeviceId j, double radius, std::vector<DeviceId>& out) const;
 
-  [[nodiscard]] std::size_t member_count() const noexcept { return member_count_; }
+  /// Components of "joint distance <= radius" by breadth-first search,
+  /// seeded in ascending id order. A device leaves its working bucket once
+  /// it joins a component, so later expansions never test it again; the
+  /// candidates tested are a subset of those one within() per device would
+  /// test, with within()'s exact distance test.
+  [[nodiscard]] Components components(double radius) const;
+
+  [[nodiscard]] std::size_t member_count() const noexcept { return ids_.size(); }
 
  private:
+  /// Appends the distinct buckets of every cell within `radius` of
+  /// `centre` (current position) to `out`, ascending.
+  void buckets_near(const Point& centre, double radius,
+                    std::vector<std::uint32_t>& out) const;
+
   const StatePair& state_;
   double cell_;
-  std::size_t member_count_;
-  std::unordered_map<std::uint64_t, std::vector<DeviceId>> cells_;
+  std::vector<DeviceId> ids_;                       ///< members, ascending
+  std::unordered_map<std::uint64_t, std::uint32_t> bucket_of_cell_;
+  std::vector<std::uint32_t> bucket_offsets_;       ///< bucket count + 1
+  std::vector<std::uint32_t> bucket_ranks_;         ///< ascending per bucket
 };
 
 }  // namespace acn

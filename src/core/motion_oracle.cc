@@ -36,15 +36,13 @@ const MotionPlane& MotionOracle::ensure_plane() const {
 }
 
 std::span<const DeviceId> MotionOracle::neighbourhood(DeviceId j) {
-  const MotionPlane& plane = ensure_plane();
-  if (plane.covers(j)) return plane.neighbourhood(j);
-  if (const auto it = extra_neighbourhood_memo_.find(j);
-      it != extra_neighbourhood_memo_.end()) {
+  if (const auto it = neighbourhood_memo_.find(j); it != neighbourhood_memo_.end()) {
     return it->second;
   }
+  const MotionPlane& plane = ensure_plane();
   ++counters_.neighbourhood_queries;
   auto neighbours = plane.within(j, params_.window());
-  return extra_neighbourhood_memo_.emplace(j, std::move(neighbours)).first->second;
+  return neighbourhood_memo_.emplace(j, std::move(neighbours)).first->second;
 }
 
 const std::vector<DeviceSet>& MotionOracle::maximal_motions(DeviceId j) {

@@ -64,8 +64,7 @@ class MotionOracle {
   MotionOracle& operator=(const MotionOracle&) = delete;
 
   /// N(j): abnormal devices within joint distance 2r of j (j included when
-  /// abnormal). Precomputed by the plane for abnormal devices; memoized grid
-  /// query otherwise.
+  /// abnormal). A grid query on the plane's A_k index, memoized per device.
   [[nodiscard]] std::span<const DeviceId> neighbourhood(DeviceId j);
 
   /// M(j): all maximal r-consistent motions containing j (Algorithm 2).
@@ -141,8 +140,7 @@ class MotionOracle {
   // built from the plane's interned runs on first access.
   std::unordered_map<DeviceId, std::vector<DeviceSet>> motions_memo_;
   std::unordered_map<DeviceId, std::vector<DeviceSet>> dense_memo_;
-  // Neighbourhoods of non-abnormal query devices (not covered by the plane).
-  std::unordered_map<DeviceId, std::vector<DeviceId>> extra_neighbourhood_memo_;
+  std::unordered_map<DeviceId, std::vector<DeviceId>> neighbourhood_memo_;
   std::unordered_map<AvoidKey, bool, AvoidKeyHash> avoid_memo_;
 };
 

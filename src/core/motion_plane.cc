@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 
@@ -354,7 +355,7 @@ MotionPlane::MotionPlane(const StatePair& state, Params params)
 
 MotionPlane::MotionPlane(const StatePair& state, Params params, GridIndex index,
                          WorkerPool* pool, std::size_t component_fanout,
-                         PlaneBuildLanes* lanes, std::uint64_t arena_budget_bytes,
+                         std::vector<double>* lane_ms, std::uint64_t arena_budget_bytes,
                          std::vector<std::uint32_t> rank_table)
     : state_(state),
       params_(params),
@@ -365,11 +366,11 @@ MotionPlane::MotionPlane(const StatePair& state, Params params, GridIndex index,
     throw std::invalid_argument("MotionPlane: index does not cover A_k");
   }
   budget_.limit = arena_budget_bytes;
-  build(pool, component_fanout, lanes);
+  build(pool, component_fanout, lane_ms);
 }
 
 void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
-                        PlaneBuildLanes* lanes) {
+                        std::vector<double>* lane_ms) {
   const DeviceSet& abnormal = state_.abnormal();
   ids_.assign(abnormal.begin(), abnormal.end());
   const std::size_t m = ids_.size();
@@ -384,91 +385,36 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     rank_lookup_[ids_[rank]] = static_cast<std::uint32_t>(rank);
   }
 
-  // Pass 1: neighbourhoods, one grid query per device into the flat arena.
-  // With a pool, contiguous rank chunks query concurrently (the index is
-  // immutable during the build, so concurrent const queries are safe) into
-  // per-chunk arenas concatenated in rank order — the arena and offsets come
-  // out byte-identical to the serial pass.
-  counters_.neighbourhood_queries += m;
-  nbr_offsets_.reserve(m + 1);
-  nbr_offsets_.push_back(0);
-  constexpr std::size_t kQueryChunk = 256;
-  if (pool != nullptr && m >= 2 * kQueryChunk) {
-    const std::size_t chunks = (m + kQueryChunk - 1) / kQueryChunk;
-    std::vector<std::vector<DeviceId>> chunk_arena(chunks);
-    pool->for_each(
-        chunks, 2,
-        [&](std::size_t c) {
-          thread_local std::vector<DeviceId> nbr_scratch;
-          const std::size_t begin = c * kQueryChunk;
-          const std::size_t end = std::min(m, begin + kQueryChunk);
-          std::vector<DeviceId>& arena = chunk_arena[c];
-          for (std::size_t rank = begin; rank < end; ++rank) {
-            grid_.within_into(ids_[rank], params_.window(), nbr_scratch);
-            arena.push_back(static_cast<DeviceId>(nbr_scratch.size()));
-            arena.insert(arena.end(), nbr_scratch.begin(), nbr_scratch.end());
-          }
-        },
-        0, lanes != nullptr ? &lanes->query_lane_ms : nullptr);
-    for (const std::vector<DeviceId>& arena : chunk_arena) {
-      budget_.charge(arena.size() * sizeof(DeviceId));
-      for (std::size_t i = 0; i < arena.size();) {
-        const std::size_t len = arena[i++];
-        nbr_arena_.insert(nbr_arena_.end(), arena.begin() + static_cast<std::ptrdiff_t>(i),
-                          arena.begin() + static_cast<std::ptrdiff_t>(i + len));
-        nbr_offsets_.push_back(static_cast<std::uint32_t>(nbr_arena_.size()));
-        i += len;
-      }
-    }
-  } else {
-    std::vector<DeviceId> nbr_scratch;
-    for (const DeviceId j : ids_) {
-      grid_.within_into(j, params_.window(), nbr_scratch);
-      budget_.charge(nbr_scratch.size() * sizeof(DeviceId));
-      nbr_arena_.insert(nbr_arena_.end(), nbr_scratch.begin(), nbr_scratch.end());
-      nbr_offsets_.push_back(static_cast<std::uint32_t>(nbr_arena_.size()));
-    }
-  }
-
-  // Pass 2: connected components of the 2r-interaction graph (edges are the
-  // neighbourhood lists), then ONE unanchored enumeration per component.
-  // Correctness hinges on an exact identity: a motion that is
-  // inclusion-maximal among the motions containing j is inclusion-maximal
-  // among ALL motions (every superset of it still contains j), so
+  // Components of the 2r-interaction graph by a breadth-first search over
+  // the A_k grid (GridIndex::components: each device leaves its bucket when
+  // it joins a component, so a blob costs O(|A_k|) distance tests), then ONE
+  // unanchored enumeration per component. Correctness hinges on an exact
+  // identity: a motion that is inclusion-maximal among the motions
+  // containing j is inclusion-maximal among ALL motions (every superset of
+  // it still contains j), so
   // M(j) == { M in maxMotions(component of j) : j in M }. This is the
   // "compute each A_k's motion families once" inversion — a blob of size b
   // is slid once instead of once per member. Validated against brute-force
   // subset enumeration by tests/core/motion_oracle_test.cc.
-  const std::vector<std::vector<DeviceId>> components =
-      connected_components(
-          ids_,
-          [&](std::size_t rank) {
-            return std::span<const DeviceId>{
-                nbr_arena_.data() + nbr_offsets_[rank],
-                nbr_offsets_[rank + 1] - nbr_offsets_[rank]};
-          },
-          rank_lookup_);
-  const std::size_t comp_count = components.size();
+  counters_.neighbourhood_queries += m;  // one cell scan per device expanded
+  GridIndex::Components components = grid_.components(params_.window());
+  const std::size_t comp_count = components.count();
 
   // Component-indexed arenas: each component's sorted member list is the
   // comp-rank universe its motions' membership bitsets index into (the
-  // characterizer's word-parallel Theorem 6/7 path).
+  // characterizer's word-parallel Theorem 6/7 path). The grid ranks A_k the
+  // way the plane does (ascending ids), so its labels are per plane rank.
   budget_.charge(m * (3 * sizeof(std::uint32_t)) +
                  (comp_count + 1) * sizeof(std::uint32_t));
-  comp_of_.resize(m);
+  comp_of_ = std::move(components.of);
+  comp_member_offsets_ = std::move(components.offsets);
+  comp_members_ = std::move(components.members);
   comp_rank_of_.resize(m);
-  comp_member_offsets_.reserve(comp_count + 1);
-  comp_member_offsets_.push_back(0);
-  comp_members_.reserve(m);
   for (std::size_t ci = 0; ci < comp_count; ++ci) {
-    const std::vector<DeviceId>& comp = components[ci];
+    const auto comp = component_members(static_cast<std::uint32_t>(ci));
     for (std::size_t cr = 0; cr < comp.size(); ++cr) {
-      const std::uint32_t rank = rank_lookup_[comp[cr]];
-      comp_of_[rank] = static_cast<std::uint32_t>(ci);
-      comp_rank_of_[rank] = static_cast<std::uint32_t>(cr);
+      comp_rank_of_[rank_lookup_[comp[cr]]] = static_cast<std::uint32_t>(cr);
     }
-    comp_members_.insert(comp_members_.end(), comp.begin(), comp.end());
-    comp_member_offsets_.push_back(static_cast<std::uint32_t>(comp_members_.size()));
   }
 
   // Family enumeration, planned as a flat task list. Most components are
@@ -504,7 +450,7 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
   std::vector<std::uint32_t> comp_task_begin(comp_count + 1, 0);
   const kernels::Ops& ops = kernels::dispatch();
   for (std::size_t ci = 0; ci < comp_count; ++ci) {
-    const std::vector<DeviceId>& comp = components[ci];
+    const auto comp = component_members(static_cast<std::uint32_t>(ci));
     std::uint64_t span_weight = 0;
     bool tight = true;
     for (std::size_t t = 0; t < state_.joint_dim(); ++t) {
@@ -551,7 +497,7 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     if (task.task_count == 1) {
       out.final_family = true;
       ++out.counters.enumeration_calls;
-      enumerate_into(state_, params_, components[task.comp], std::nullopt,
+      enumerate_into(state_, params_, component_members(task.comp), std::nullopt,
                      &out.counters, scratch);
       // scratch.maximal is lexicographic by members; appending in this
       // order keeps every member's family in the project-wide order.
@@ -567,7 +513,7 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     // the component's enumeration_calls tick.
     if (task.task_index == 0) ++out.counters.enumeration_calls;
     std::array<double, Point::kMaxDim> anchor_coords{};
-    prepare_pool(state_, params_, components[task.comp], std::nullopt,
+    prepare_pool(state_, params_, component_members(task.comp), std::nullopt,
                  anchor_coords, scratch);
     slide_edge_slice(state_, window, task.task_index, task.task_count, scratch,
                      &out.counters);
@@ -578,32 +524,23 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     }
   };
   if (pool != nullptr) {
-    pool->for_each(tasks.size(), component_fanout, run_task, 0,
-                   lanes != nullptr ? &lanes->enumerate_lane_ms : nullptr);
+    pool->for_each(tasks.size(), component_fanout, run_task, 0, lane_ms);
   } else {
     for (std::size_t slot = 0; slot < tasks.size(); ++slot) run_task(slot);
   }
 
-  // Deterministic merge: intern runs and assign families component by
-  // component, in discovery order. Split components re-assemble their cover
-  // store from the task slices in task (= edge) order — per-task dedup kept
-  // first occurrences within a slice, the merge add() keeps the first
-  // across slices, so the assembled store holds exactly the serial store's
-  // runs — then run the same content-based maximality selection.
+  // Deterministic merge: intern runs component by component, in discovery
+  // order. Split components re-assemble their cover store from the task
+  // slices in task (= edge) order — per-task dedup kept first occurrences
+  // within a slice, the merge add() keeps the first across slices, so the
+  // assembled store holds exactly the serial store's runs — then run the
+  // same content-based maximality selection.
   motion_offsets_.push_back(0);
-  std::vector<std::vector<MotionId>> family_of(m);
-  std::vector<std::vector<MotionId>> dense_of(m);
   EnumerationScratch merge_scratch;
   const auto intern_run = [&](std::span<const DeviceId> run) {
-    const MotionId mid = intern(run);
+    (void)intern(run);
     motion_component_.push_back(comp_of_[rank_lookup_[run[0]]]);
-    const bool dense = run.size() > params_.tau;
     counters_.motions_shared += run.size() - 1;  // one arena run, |M| families
-    for (const DeviceId member : run) {
-      const std::uint32_t rank = rank_lookup_[member];
-      family_of[rank].push_back(mid);
-      if (dense) dense_of[rank].push_back(mid);
-    }
   };
   for (std::size_t ci = 0; ci < comp_count; ++ci) {
     for (std::uint32_t t = comp_task_begin[ci]; t < comp_task_begin[ci + 1]; ++t) {
@@ -635,26 +572,63 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     }
   }
 
-  maximal_offsets_.reserve(m + 1);
-  maximal_offsets_.push_back(0);
-  dense_offsets_.reserve(m + 1);
-  dense_offsets_.push_back(0);
+  // M(j) per device, by a counting pass over the interned runs: walking the
+  // motions in id order lists every family in interning order, which is
+  // lexicographic by members within the component.
+  const std::size_t motions = motion_count();
+  maximal_offsets_.assign(m + 1, 0);
+  for (MotionId mid = 0; mid < motions; ++mid) {
+    for (const DeviceId member : members(mid)) ++maximal_offsets_[rank_lookup_[member] + 1];
+  }
   for (std::size_t rank = 0; rank < m; ++rank) {
-    maximal_ids_.insert(maximal_ids_.end(), family_of[rank].begin(),
-                        family_of[rank].end());
-    dense_ids_.insert(dense_ids_.end(), dense_of[rank].begin(),
-                      dense_of[rank].end());
-    maximal_offsets_.push_back(static_cast<std::uint32_t>(maximal_ids_.size()));
-    dense_offsets_.push_back(static_cast<std::uint32_t>(dense_ids_.size()));
+    maximal_offsets_[rank + 1] += maximal_offsets_[rank];
+  }
+  maximal_ids_.resize(maximal_offsets_[m]);
+  {
+    std::vector<std::uint32_t> cursor(maximal_offsets_.begin(), maximal_offsets_.end() - 1);
+    for (MotionId mid = 0; mid < motions; ++mid) {
+      for (const DeviceId member : members(mid)) {
+        maximal_ids_[cursor[rank_lookup_[member]]++] = mid;
+      }
+    }
+  }
+
+  // W-bar_k(j) per dense class: the tau-dense members of M(j), same order.
+  // Devices with equal dense families share one class (one stored run), so
+  // everything that reads only W-bar — Theorems 5/6, D/J/L — can be decided
+  // once per class. Classes are numbered by first (smallest-id) member.
+  dense_class_of_.assign(m, kNoDenseClass);
+  {
+    std::map<std::vector<MotionId>, std::uint32_t> class_of_run;
+    std::vector<MotionId> run;
+    std::uint32_t last = kNoDenseClass;
+    for (std::size_t rank = 0; rank < m; ++rank) {
+      run.clear();
+      for (std::uint32_t i = maximal_offsets_[rank]; i < maximal_offsets_[rank + 1]; ++i) {
+        if (members(maximal_ids_[i]).size() > params_.tau) run.push_back(maximal_ids_[i]);
+      }
+      if (run.empty()) continue;
+      // Blob members are mostly consecutive ranks with one family: try the
+      // previous device's class before the lookup.
+      const auto last_run = last == kNoDenseClass ? std::span<const MotionId>{}
+                                                  : dense_class_run(last);
+      if (!std::equal(run.begin(), run.end(), last_run.begin(), last_run.end())) {
+        const auto [it, fresh] = class_of_run.try_emplace(
+            run, static_cast<std::uint32_t>(dense_class_count()));
+        if (fresh) {
+          dense_ids_.insert(dense_ids_.end(), run.begin(), run.end());
+          dense_offsets_.push_back(static_cast<std::uint32_t>(dense_ids_.size()));
+        }
+        last = it->second;
+      }
+      dense_class_of_[rank] = last;
+    }
   }
 
   // Membership bitsets over comp-ranks: one word-run per motion, plus per
-  // device the AND of its dense motions' runs (all-ones when the dense
-  // family is empty — the vacuous truth of "every dense motion of ell
-  // contains j"). These are what turn the characterizer's J/L split,
-  // Theorem 6 intersection counts, and Theorem 7 survivor counts into
-  // bit tests, ANDs, and popcounts.
-  const std::size_t motions = motion_count();
+  // dense class the AND of its motions' runs. These are what turn the
+  // characterizer's J/L split, Theorem 6 intersection counts, and Theorem 7
+  // survivor counts into bit tests, ANDs, and popcounts.
   motion_bits_offsets_.reserve(motions + 1);
   motion_bits_offsets_.push_back(0);
   for (MotionId mid = 0; mid < motions; ++mid) {
@@ -668,26 +642,18 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     }
     motion_bits_offsets_.push_back(static_cast<std::uint32_t>(motion_bits_.size()));
   }
-  inter_bits_offsets_.reserve(m + 1);
+  const std::size_t classes = dense_class_count();
+  inter_bits_offsets_.reserve(classes + 1);
   inter_bits_offsets_.push_back(0);
-  for (std::size_t rank = 0; rank < m; ++rank) {
-    const std::uint32_t ci = comp_of_[rank];
-    const std::size_t comp_size = component_members(ci).size();
-    const std::size_t words = (comp_size + 63) / 64;
-    budget_.charge(words * sizeof(std::uint64_t));
+  for (std::uint32_t c = 0; c < classes; ++c) {
+    const auto run = dense_class_run(c);
+    const auto first_bits = motion_bits(run[0]);
+    budget_.charge(first_bits.size() * sizeof(std::uint64_t));
     const std::size_t at = inter_bits_.size();
-    if (dense_of[rank].empty()) {
-      inter_bits_.resize(at + words, ~std::uint64_t{0});
-      if (comp_size & 63) {
-        inter_bits_.back() = (1ULL << (comp_size & 63)) - 1;  // mask the tail
-      }
-    } else {
-      const auto first = motion_bits(dense_of[rank][0]);
-      inter_bits_.insert(inter_bits_.end(), first.begin(), first.end());
-      for (std::size_t i = 1; i < dense_of[rank].size(); ++i) {
-        const auto run = motion_bits(dense_of[rank][i]);
-        for (std::size_t k = 0; k < words; ++k) inter_bits_[at + k] &= run[k];
-      }
+    inter_bits_.insert(inter_bits_.end(), first_bits.begin(), first_bits.end());
+    for (std::size_t i = 1; i < run.size(); ++i) {
+      const auto bits = motion_bits(run[i]);
+      for (std::size_t k = 0; k < bits.size(); ++k) inter_bits_[at + k] &= bits[k];
     }
     inter_bits_offsets_.push_back(static_cast<std::uint32_t>(inter_bits_.size()));
   }
@@ -701,12 +667,6 @@ bool MotionPlane::covers(DeviceId j) const noexcept {
   return j < rank_lookup_.size() && rank_lookup_[j] != kNoRank;
 }
 
-std::span<const DeviceId> MotionPlane::neighbourhood(DeviceId j) const {
-  const std::size_t rank = rank_of(j);
-  return {nbr_arena_.data() + nbr_offsets_[rank],
-          nbr_offsets_[rank + 1] - nbr_offsets_[rank]};
-}
-
 std::span<const MotionPlane::MotionId> MotionPlane::maximal(DeviceId j) const {
   const std::size_t rank = rank_of(j);
   return {maximal_ids_.data() + maximal_offsets_[rank],
@@ -714,9 +674,13 @@ std::span<const MotionPlane::MotionId> MotionPlane::maximal(DeviceId j) const {
 }
 
 std::span<const MotionPlane::MotionId> MotionPlane::dense(DeviceId j) const {
-  const std::size_t rank = rank_of(j);
-  return {dense_ids_.data() + dense_offsets_[rank],
-          dense_offsets_[rank + 1] - dense_offsets_[rank]};
+  const std::uint32_t c = dense_class_of_[rank_of(j)];
+  if (c == kNoDenseClass) return {};
+  return dense_class_run(c);
+}
+
+std::uint32_t MotionPlane::dense_class(DeviceId j) const {
+  return dense_class_of_[rank_of(j)];
 }
 
 bool MotionPlane::motion_contains(MotionId m, DeviceId id) const noexcept {

@@ -6,22 +6,29 @@
 // The seed implementation re-derived those overlapping families per device
 // (split_neighbourhood re-filtered every neighbour's dense family on every
 // call), so a massive anomaly of size m paid O(m^2) family filters per
-// snapshot. The plane inverts that: one pass per snapshot computes, for
-// every abnormal device of A_k, its 2r-neighbourhood, its maximal-motion
-// family (Algorithm 2) and its tau-dense family (W-bar_k), after which each
+// snapshot. The plane inverts that: one pass per snapshot finds the
+// 2r-interaction components of A_k (a breadth-first search over the A_k
+// grid, O(|A_k|) distance tests for a blob), enumerates each component's
+// maximal motions once (Algorithm 2), and reads off every device's
+// maximal-motion family and tau-dense family (W-bar_k), after which each
 // per-device decision is a read-only lookup — and the decisions can run in
-// parallel across A_k (Characterizer::characterize_all_parallel).
+// parallel across A_k (Characterizer::characterize_all_parallel). No
+// per-device neighbourhood list is kept: the few readers of N(j) query the
+// grid on demand (within()).
 //
 // Storage is flat throughout:
-//   * neighbourhoods live in one contiguous DeviceId arena, sliced by
-//     offset per device;
 //   * motions live in an arena-style store — each distinct motion is an
 //     (offset, length) run of sorted DeviceIds in one contiguous buffer,
 //     stored exactly once and shared by every member's family (the common
 //     case inside a blob: all members of a dense cluster see the same
 //     maximal motions). One enumeration per interaction component makes
 //     the runs distinct by construction, so no dedup pass is needed;
-//   * per-device families are (offset, length) slices of MotionId arrays.
+//   * M(j) is a per-device (offset, length) slice of one MotionId array;
+//   * W-bar_k(j) is stored once per dense class — the devices whose dense
+//     families are equal (a whole blob is typically one class) — and each
+//     device keeps only its class index;
+//   * components are one sorted member array sliced per component, with
+//     each motion's membership as a bitset over its component's ranks.
 //
 // MotionOracle is a thin view over the plane (it keeps only query memos),
 // and the canonical-window enumeration shared by the plane build and the
@@ -45,7 +52,7 @@ namespace acn {
 
 class WorkerPool;
 
-/// Thrown when a plane build's arena allocations (neighbourhood lists,
+/// Thrown when a plane build's arena allocations (component tables,
 /// window covers, interned motions, membership bitsets) would exceed the
 /// configured byte budget. An adversarial placement at large n can make the
 /// motion-family arenas combinatorially large; this turns what would be an
@@ -94,14 +101,6 @@ struct OracleCounters {
                                      ///< to an interned motion (arena reuse)
 };
 
-/// Per-lane busy times of the plane build's two fan-outs (the engine's
-/// lane-skew instrumentation; see WorkerPool::for_each on lane_ms). Empty
-/// vectors when the corresponding pass ran serially.
-struct PlaneBuildLanes {
-  std::vector<double> query_lane_ms;      ///< pass 1: neighbourhood queries
-  std::vector<double> enumerate_lane_ms;  ///< pass 2: component enumeration
-};
-
 /// Canonical-window enumeration (the paper's Algorithm 2 core): all
 /// inclusion-maximal r-consistent motions within `pool`; when `anchor` is
 /// set, only motions containing the anchor. Deterministic (sorted) order.
@@ -133,7 +132,7 @@ class MotionPlane {
   /// Index of an interned motion within the plane's store.
   using MotionId = std::uint32_t;
 
-  /// The A_k index every plane build reads its neighbourhoods from: a
+  /// The A_k index every plane build finds its components in: a
   /// GridIndex of state.abnormal() with cell side max(2r, kMinGridCell).
   /// Validates `params`. The engine builds it itself (so its cost is timed
   /// as its own phase) and hands it to the plane.
@@ -145,15 +144,15 @@ class MotionPlane {
   MotionPlane(const StatePair& state, Params params);
 
   /// Build over `index`, which must come from index_abnormal(state, params).
-  /// Both passes fan out over `pool` when given — pass 1 (neighbourhood
-  /// queries) over contiguous rank chunks, pass 2 over per-component
-  /// enumeration tasks sized by an estimated enumeration cost (member count
-  /// x per-dimension window span), with oversized non-tight components split
-  /// across tasks by top-level window edge ranges. Tasks merge in
-  /// component-discovery/task order and the cover dedup is content-based, so
-  /// families, interned ids, and counters are byte-identical for any pool
-  /// size and any split. `state` must outlive the plane; `lanes`, when
-  /// given, receives per-lane busy times of both fan-outs.
+  /// The component search is serial; the enumeration fans out over `pool`
+  /// when given, as per-component tasks sized by an estimated enumeration
+  /// cost (member count x per-dimension window span), with oversized
+  /// non-tight components split across tasks by top-level window edge
+  /// ranges. Tasks merge in component-discovery/task order and the cover
+  /// dedup is content-based, so families, interned ids, and counters are
+  /// byte-identical for any pool size and any split. `state` must outlive
+  /// the plane; `lane_ms`, when given, receives per-lane busy times of the
+  /// enumeration (see WorkerPool::for_each; empty when it ran serially).
   /// `arena_budget_bytes` caps the total bytes the build may park in its
   /// arenas (0 = unlimited); exceeding it throws ArenaBudgetExceeded with
   /// the plane half-built but the engine state untouched. `rank_table` is
@@ -161,7 +160,7 @@ class MotionPlane {
   /// the id -> rank table cost O(|A_k|) instead of O(largest abnormal id).
   MotionPlane(const StatePair& state, Params params, GridIndex index,
               WorkerPool* pool = nullptr, std::size_t component_fanout = 2,
-              PlaneBuildLanes* lanes = nullptr, std::uint64_t arena_budget_bytes = 0,
+              std::vector<double>* lane_ms = nullptr, std::uint64_t arena_budget_bytes = 0,
               std::vector<std::uint32_t> rank_table = {});
 
   /// Hands the id -> rank table to the next plane's build: resets this
@@ -173,8 +172,8 @@ class MotionPlane {
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 
   /// Abnormal devices within joint distance `radius` of j (j included when
-  /// abnormal), sorted — answered by the plane's A_k index. Serves the
-  /// oracle's queries for non-abnormal devices.
+  /// abnormal), sorted — answered by the plane's A_k index. N(j) is
+  /// within(j, 2r): the Theorem-7 search and the oracle query it on demand.
   [[nodiscard]] std::vector<DeviceId> within(DeviceId j, double radius) const;
 
   /// |A_k|: number of devices the plane covers.
@@ -182,15 +181,28 @@ class MotionPlane {
   /// True iff j is abnormal (covered by the plane).
   [[nodiscard]] bool covers(DeviceId j) const noexcept;
 
-  /// N(j): abnormal devices within 2r of j, j included. Sorted. Requires
-  /// covers(j) (throws std::invalid_argument otherwise).
-  [[nodiscard]] std::span<const DeviceId> neighbourhood(DeviceId j) const;
   /// M(j): ids of all maximal motions containing j, in deterministic
-  /// (lexicographic by members) order. Requires covers(j).
+  /// (lexicographic by members) order. Requires covers(j) (throws
+  /// std::invalid_argument otherwise).
   [[nodiscard]] std::span<const MotionId> maximal(DeviceId j) const;
-  /// W-bar_k(j): ids of the tau-dense members of M(j), same order.
-  /// Requires covers(j).
+  /// W-bar_k(j): ids of the tau-dense members of M(j), same order (the run
+  /// of j's dense class; empty when j has none). Requires covers(j).
   [[nodiscard]] std::span<const MotionId> dense(DeviceId j) const;
+
+  // ----- Dense classes: devices with equal W-bar_k. D_k(j), J_k(j) = {ell in
+  // D_k(j) : W-bar(ell) within W-bar(j)}, L_k(j) and the Theorem 5/6
+  // outcome read nothing but W-bar_k(j), so they are functions of the
+  // class.
+
+  /// Class index of W-bar_k(j), or kNoDenseClass when it is empty.
+  /// Classes are numbered in order of their smallest member. Requires
+  /// covers(j).
+  static constexpr std::uint32_t kNoDenseClass = 0xFFFFFFFFu;
+  [[nodiscard]] std::uint32_t dense_class(DeviceId j) const;
+  /// Number of distinct non-empty dense families.
+  [[nodiscard]] std::size_t dense_class_count() const noexcept {
+    return dense_offsets_.size() - 1;
+  }
 
   /// Members of one interned motion (sorted run in the arena).
   [[nodiscard]] std::span<const DeviceId> members(MotionId m) const noexcept {
@@ -242,14 +254,13 @@ class MotionPlane {
     return {motion_bits_.data() + motion_bits_offsets_[m],
             motion_bits_offsets_[m + 1] - motion_bits_offsets_[m]};
   }
-  /// AND of the motion_bits of all of j's dense motions (all-ones over j's
-  /// component when the dense family is empty — the vacuous truth the J/L
-  /// split's "every dense motion of ell contains j" test needs). Requires
-  /// covers(j).
-  [[nodiscard]] std::span<const std::uint64_t> dense_intersection_bits(DeviceId j) const {
-    const std::size_t rank = rank_of(j);
-    return {inter_bits_.data() + inter_bits_offsets_[rank],
-            inter_bits_offsets_[rank + 1] - inter_bits_offsets_[rank]};
+  /// AND of the motion_bits of dense class c's motions: bit i is set iff
+  /// every motion of the class contains comp-rank i — the J/L split's
+  /// "every dense motion of ell contains j" test for each ell of class c.
+  [[nodiscard]] std::span<const std::uint64_t> class_intersection_bits(
+      std::uint32_t c) const noexcept {
+    return {inter_bits_.data() + inter_bits_offsets_[c],
+            inter_bits_offsets_[c + 1] - inter_bits_offsets_[c]};
   }
 
   /// Bytes currently parked in the plane's arenas (budget meter reading).
@@ -259,9 +270,13 @@ class MotionPlane {
 
  private:
   void build(WorkerPool* pool, std::size_t component_fanout,
-             PlaneBuildLanes* lanes);
+             std::vector<double>* lane_ms);
   /// Rank of j within the sorted A_k ids; throws if not abnormal.
   [[nodiscard]] std::size_t rank_of(DeviceId j) const;
+  /// The dense family of class c (non-empty).
+  [[nodiscard]] std::span<const MotionId> dense_class_run(std::uint32_t c) const noexcept {
+    return {dense_ids_.data() + dense_offsets_[c], dense_offsets_[c + 1] - dense_offsets_[c]};
+  }
   /// Appends one sorted member run to the arena store (runs are distinct by
   /// construction — see the ctor) and returns its id.
   MotionId intern(std::span<const DeviceId> motion);
@@ -271,12 +286,12 @@ class MotionPlane {
   GridIndex grid_;             ///< A_k index (see index_abnormal)
   std::vector<DeviceId> ids_;  ///< A_k, sorted
 
-  // Per-device slices (all offset arrays have device_count() + 1 entries).
-  std::vector<std::uint32_t> nbr_offsets_;
-  std::vector<DeviceId> nbr_arena_;
+  // M(j) per device (device_count() + 1 offsets); W-bar per dense class
+  // (dense_class_count() + 1 offsets) and each device's class.
   std::vector<std::uint32_t> maximal_offsets_;
   std::vector<MotionId> maximal_ids_;
-  std::vector<std::uint32_t> dense_offsets_;
+  std::vector<std::uint32_t> dense_class_of_;
+  std::vector<std::uint32_t> dense_offsets_{0};
   std::vector<MotionId> dense_ids_;
 
   // The interned motion store.
@@ -298,7 +313,7 @@ class MotionPlane {
   std::vector<std::uint32_t> motion_component_;     ///< per motion
   std::vector<std::uint32_t> motion_bits_offsets_;  ///< word offsets, count+1
   std::vector<std::uint64_t> motion_bits_;
-  std::vector<std::uint32_t> inter_bits_offsets_;   ///< word offsets, m+1
+  std::vector<std::uint32_t> inter_bits_offsets_;   ///< word offsets, classes+1
   std::vector<std::uint64_t> inter_bits_;
 
   mutable ArenaBudget budget_;

@@ -20,24 +20,46 @@ PartitionEnumerator::PartitionEnumerator(const StatePair& state, Params params,
 }
 
 std::vector<std::vector<DeviceId>> PartitionEnumerator::components() const {
+  // Union-find over the pairwise interaction edges, one grid query per
+  // device: an independent construction from the motion plane's grid BFS
+  // (GridIndex::components), which the tests hold it against. within()
+  // filters by exact joint distance, so the edge set is the all-pairs one.
   const DeviceSet& abnormal = state_.abnormal();
   const std::vector<DeviceId> ids(abnormal.begin(), abnormal.end());
   if (ids.empty()) return {};
-  // Interaction edges through the 2r grid instead of the all-pairs scan:
-  // within() filters by exact joint distance, so the edge set is identical.
   const GridIndex grid(state_, abnormal, std::max(params_.window(), kMinGridCell));
+  const std::size_t m = ids.size();
+  std::vector<std::uint32_t> parent(m);
+  for (std::size_t i = 0; i < m; ++i) parent[i] = static_cast<std::uint32_t>(i);
+  const auto find = [&](std::uint32_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
   std::vector<DeviceId> neighbours;
-  std::vector<std::uint32_t> rank_of(ids.back() + 1);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    rank_of[ids[i]] = static_cast<std::uint32_t>(i);
+  for (std::size_t rank = 0; rank < m; ++rank) {
+    grid.within_into(ids[rank], params_.window(), neighbours);
+    for (const DeviceId other : neighbours) {
+      const auto other_rank = static_cast<std::uint32_t>(
+          std::lower_bound(ids.begin(), ids.end(), other) - ids.begin());
+      parent[find(static_cast<std::uint32_t>(rank))] = find(other_rank);
+    }
   }
-  return connected_components(
-      ids,
-      [&](std::size_t rank) {
-        grid.within_into(ids[rank], params_.window(), neighbours);
-        return std::span<const DeviceId>(neighbours);
-      },
-      rank_of);
+  // Scanning ranks in ascending order keeps every component sorted by id
+  // and orders components by smallest member.
+  std::vector<std::vector<DeviceId>> components;
+  std::vector<std::int64_t> slot(m, -1);
+  for (std::size_t rank = 0; rank < m; ++rank) {
+    const std::uint32_t root = find(static_cast<std::uint32_t>(rank));
+    if (slot[root] < 0) {
+      slot[root] = static_cast<std::int64_t>(components.size());
+      components.emplace_back();
+    }
+    components[static_cast<std::size_t>(slot[root])].push_back(ids[rank]);
+  }
+  return components;
 }
 
 namespace {

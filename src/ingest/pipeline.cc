@@ -1,6 +1,7 @@
 #include "ingest/pipeline.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace acn {
@@ -70,6 +71,15 @@ void IngestPipeline::prime(const Snapshot& initial) {
 void IngestPipeline::push(const QosReport& report) {
   if (!primed_) {
     throw std::logic_error("IngestPipeline::push: prime() first");
+  }
+  // The seal writes every staged claim through to the roster, which rejects
+  // the same claims; checked here, before anything is staged, a malformed
+  // report cannot leave an interval half-applied at its seal.
+  if (report.claim.dim() != config_.dim || !report.claim.in_unit_box()) {
+    throw std::invalid_argument("IngestPipeline::push: claim of device " +
+                                std::to_string(report.device) +
+                                " is not a point of [0,1]^" +
+                                std::to_string(config_.dim));
   }
   const std::uint64_t k = report.interval;
   if (k < next_to_seal_) {

@@ -134,7 +134,9 @@ class IngestPipeline {
 
   /// Ingests one report: dedups/stages it, advances the watermark, seals
   /// every interval the watermark (or the flood bound) passed. Sealed
-  /// results accumulate for drain_ready(). Requires prime().
+  /// results accumulate for drain_ready(). Requires prime(). Throws
+  /// std::invalid_argument, with nothing staged, when the claim is not a
+  /// point of [0,1]^dim.
   void push(const QosReport& report);
 
   /// push() for a delivery burst. Semantically identical to pushing each

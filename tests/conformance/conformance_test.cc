@@ -9,6 +9,7 @@
 //
 // ACN_CONFORMANCE_SEED_BUDGET multiplies the number of suite seeds swept
 // (nightly CI sets 10); ACN_CONFORMANCE_BASE_SEED pins the first seed.
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <vector>
@@ -145,6 +146,78 @@ TEST(Conformance, HostileSuiteAllPathsByteIdentical) {
       if (HasFatalFailure()) return;
     }
   }
+}
+
+// Theorems 5/6 are decided once per dense class (devices with equal
+// W-bar_k). Every device's rule must still be what its own W-bar gives:
+// J_k(j) rebuilt per device from the definition (members of D_k(j) whose
+// every dense motion contains j, read from plane.dense()) must equal
+// neighbourhood_j(j), and Theorem 6 over it must pick the reported rule.
+TEST(Conformance, HostileSuiteTheorem56MatchPerDeviceRecomputation) {
+  const std::uint64_t seed = env_size("ACN_CONFORMANCE_BASE_SEED", 1000);
+  std::size_t theorem6 = 0;
+  std::size_t beyond6 = 0;
+  for (const HostileSpec& spec : standard_hostile_suite(300, seed)) {
+    const Stream stream = materialize(spec, 6);
+    const Params model = spec.params.base.model;
+    for (std::size_t k = 1; k < stream.snapshots.size(); ++k) {
+      const StatePair state(stream.snapshots[k - 1], stream.snapshots[k],
+                            stream.abnormal[k]);
+      Characterizer reference(state, model);
+      const MotionPlane& plane = reference.plane();
+      const std::vector<Decision> decisions = reference.decide_all();
+      for (std::size_t i = 0; i < decisions.size(); ++i) {
+        const DeviceId j = stream.abnormal[k][i];
+        const Decision& got = decisions[i];
+        const auto dense_j = plane.dense(j);
+        const auto repro = [&] {
+          return "REPRO: family=" + spec.name + " suite-seed=" + std::to_string(seed) +
+                 " interval=" + std::to_string(k) + " device=" + std::to_string(j);
+        };
+        EXPECT_EQ(got.dense_motion_count, dense_j.size()) << repro();
+        EXPECT_EQ(got.maximal_motion_count, plane.maximal(j).size()) << repro();
+        if (dense_j.empty()) {
+          EXPECT_EQ(got.rule, DecisionRule::kTheorem5) << repro();
+          continue;
+        }
+        std::vector<DeviceId> d;
+        for (const MotionPlane::MotionId mid : dense_j) {
+          const auto run = plane.members(mid);
+          d.insert(d.end(), run.begin(), run.end());
+        }
+        std::vector<DeviceId> j_members;
+        for (const DeviceId ell : DeviceSet(std::move(d))) {
+          bool all_contain_j = true;
+          for (const MotionPlane::MotionId mid : plane.dense(ell)) {
+            const auto run = plane.members(mid);
+            all_contain_j = all_contain_j && std::binary_search(run.begin(), run.end(), j);
+          }
+          if (all_contain_j) j_members.push_back(ell);
+        }
+        const DeviceSet j_set(std::move(j_members));
+        EXPECT_EQ(reference.neighbourhood_j(j), j_set) << repro();
+        bool holds = false;
+        for (const MotionPlane::MotionId mid : dense_j) {
+          std::size_t in_j = 0;
+          for (const DeviceId member : plane.members(mid)) in_j += j_set.contains(member);
+          holds = holds || in_j > model.tau;
+        }
+        if (holds) {
+          ++theorem6;
+          EXPECT_EQ(got.rule, DecisionRule::kTheorem6) << repro();
+        } else {
+          ++beyond6;
+          EXPECT_TRUE(got.rule == DecisionRule::kTheorem7 ||
+                      got.rule == DecisionRule::kCorollary8 ||
+                      got.rule == DecisionRule::kBudgetExhausted)
+              << repro() << " rule=" << to_string(got.rule);
+        }
+      }
+    }
+  }
+  // The suite reaches both sides of Theorem 6.
+  EXPECT_GT(theorem6, 0u);
+  EXPECT_GT(beyond6, 0u);
 }
 
 // The suite must actually exercise the monitor: every family (except the

@@ -233,6 +233,58 @@ TEST_F(Figure5Test, BudgetExhaustionIsReportedNotSilent) {
   EXPECT_EQ(d.cls, AnomalyClass::kUnresolved);  // safe side
 }
 
+TEST_F(Figure5Test, SharedDenseClassSearchesPerDevice) {
+  // Each pair shares one W-bar (one dense class); Theorem 6 fails for the
+  // class, and each member still runs and is charged its own search.
+  const MotionPlane& plane = characterizer_.plane();
+  EXPECT_EQ(plane.dense_class_count(), 4u);
+  const std::vector<Decision> all = characterizer_.decide_all();
+  for (DeviceId j = 0; j < 8; j += 2) {
+    EXPECT_EQ(plane.dense_class(j), plane.dense_class(j + 1));
+    for (const DeviceId member : {j, DeviceId{j + 1}}) {
+      Characterizer alone(state_, {.r = 0.075, .tau = 3});
+      const Decision single = alone.characterize(member);
+      EXPECT_EQ(all[member].rule, DecisionRule::kTheorem7) << "device " << member;
+      EXPECT_GT(all[member].collections_tested, 0u) << "device " << member;
+      EXPECT_EQ(all[member].collections_tested, single.collections_tested)
+          << "device " << member;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Dense classes: devices with equal W-bar share the Theorem 5/6 outcome,
+// while |M(j)| stays per device. Devices 0-3 form a dense blob (tau = 2);
+// device 4 sits exactly 2r past device 3, so {3, 4} is a second, sparse
+// maximal motion of device 3 only. Coordinates are multiples of 1/64.
+// ---------------------------------------------------------------------------
+
+TEST(DenseClassTest, SharedDenseFamilyKeepsPerDeviceMaximalCount) {
+  const StatePair state =
+      test::make_static_1d({0.5, 0.515625, 0.53125, 0.546875, 0.671875});
+  Characterizer characterizer(state, {.r = 0.0625, .tau = 2});
+  const MotionPlane& plane = characterizer.plane();
+  ASSERT_EQ(plane.dense_class_count(), 1u);
+  for (DeviceId j = 0; j < 4; ++j) EXPECT_EQ(plane.dense_class(j), 0u);
+  EXPECT_EQ(plane.dense_class(4), MotionPlane::kNoDenseClass);
+  EXPECT_TRUE(plane.dense(4).empty());
+
+  const std::vector<Decision> all = characterizer.decide_all();
+  const std::vector<std::size_t> maximal = {1, 1, 1, 2, 1};
+  for (DeviceId j = 0; j < 5; ++j) {
+    EXPECT_EQ(all[j].maximal_motion_count, maximal[j]) << "device " << j;
+    const Decision single = characterizer.characterize(j);
+    EXPECT_EQ(single.maximal_motion_count, maximal[j]) << "device " << j;
+    EXPECT_EQ(single.rule, all[j].rule) << "device " << j;
+  }
+  for (DeviceId j = 0; j < 4; ++j) {
+    EXPECT_EQ(all[j].rule, DecisionRule::kTheorem6) << "device " << j;
+    EXPECT_EQ(all[j].dense_motion_count, 1u) << "device " << j;
+  }
+  EXPECT_EQ(all[4].rule, DecisionRule::kTheorem5);
+  EXPECT_EQ(all[4].maximal_motion_count, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // characterize_all: bulk classification equals per-device classification.
 // ---------------------------------------------------------------------------

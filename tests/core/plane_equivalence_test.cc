@@ -204,7 +204,7 @@ TEST(MotionPlaneTest, ThrowsForNormalDevice) {
   EXPECT_FALSE(plane.covers(1));
   EXPECT_THROW((void)plane.maximal(1), std::invalid_argument);
   EXPECT_THROW((void)plane.dense(1), std::invalid_argument);
-  EXPECT_THROW((void)plane.neighbourhood(1), std::invalid_argument);
+  EXPECT_THROW((void)plane.dense_class(1), std::invalid_argument);
 }
 
 }  // namespace

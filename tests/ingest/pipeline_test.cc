@@ -357,5 +357,37 @@ TEST(IngestPipeline, FinishSealsEveryOpenInterval) {
   }
 }
 
+TEST(IngestPipeline, MalformedClaimIsRejectedBeforeStaging) {
+  // A bad claim used to be staged and to throw out of the seal, after the
+  // frame was taken and earlier keys written: the interval then re-sealed
+  // as an empty gap with key 0's claim applied and key 3's lost.
+  IngestPipeline::Config config = base_config(4);
+  IngestPipeline pipeline(config);
+  const std::vector<Point> fleet = fleet_positions();
+  pipeline.prime(Snapshot({fleet[0], fleet[1], fleet[2], fleet[3]}));
+
+  pipeline.push(make_report(0, 1, Point{0.12, 0.10}));
+  EXPECT_THROW(pipeline.push(make_report(1, 1, Point{1.5, 0.10})),
+               std::invalid_argument);
+  EXPECT_THROW(pipeline.push(make_report(1, 1, Point{0.30, 0.10, 0.10})),
+               std::invalid_argument);
+  pipeline.push(make_report(3, 1, Point{0.72, 0.10}));
+  EXPECT_EQ(pipeline.counters().accepted, 2u);
+
+  pipeline.push(make_report(0, 3, Point{0.12, 0.10}));  // watermark: seal 1
+  const std::vector<ClosedInterval> closed = pipeline.drain_ready();
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed.front().interval, 1u);
+  EXPECT_EQ(closed.front().reported, 2u);  // keys 0 and 3, not an empty gap
+  EXPECT_EQ(closed.front().replayed, 2u);  // keys 1 and 2
+  EXPECT_FALSE(closed.front().degraded);
+  EXPECT_EQ(pipeline.counters().replayed_claims, 2u);
+  EXPECT_EQ(pipeline.next_to_seal(), 2u);
+  const Snapshot roster = pipeline.monitor().roster().snapshot();
+  EXPECT_TRUE(roster[0] == (Point{0.12, 0.10}));
+  EXPECT_TRUE(roster[1] == fleet[1]);
+  EXPECT_TRUE(roster[3] == (Point{0.72, 0.10}));
+}
+
 }  // namespace
 }  // namespace acn
