@@ -88,7 +88,7 @@ std::vector<acn::CharacterizationSets> run_engine(
     acn::Snapshot curr = step.state.curr();
     acn::DeviceSet abnormal = step.state.abnormal();
     const auto start = Clock::now();
-    auto result = engine.observe(std::move(curr), std::move(abnormal));
+    auto result = engine.observe(curr, std::move(abnormal));
     *total_ms += ms_since(start);
     sets.push_back(std::move(result->sets));
     const acn::FrameStats& stats = engine.last_stats();

@@ -335,7 +335,7 @@ void write_telemetry_dump(const char* path, std::size_t n, std::uint64_t seed,
     (void)monitor.observe(scenario.initial(), acn::DeviceSet{});
     for (int k = 0; k < intervals; ++k) {
       acn::HostileStep step = scenario.advance();
-      (void)monitor.observe(std::move(step.observed), step.abnormal);
+      (void)monitor.observe(step.observed, step.abnormal);
     }
     if (!first) out += ',';
     first = false;

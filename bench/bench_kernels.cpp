@@ -48,12 +48,6 @@ struct Workload {
   std::vector<std::uint32_t> qcol;
   std::vector<std::uint32_t> ids;
   WindowBoundsQ wb;
-  // Radius prefilter: joint columns, [dim][device] layout.
-  std::size_t dims = 4;
-  std::vector<double> cols;
-  std::vector<std::uint32_t> qcols;
-  std::vector<double> centre;
-  double radius = 0.03;
   // Theorem-7 scans: row-major bitset matrices over a compact universe.
   std::size_t words = 2;
   std::size_t target_count = 0;
@@ -84,16 +78,6 @@ struct Workload {
     // A representable window width (2r = 2^-4) lands boundaries exactly on
     // the quantization grid — the tie-band path is exercised, not dodged.
     wb = acn::kernels::window_bounds(0.40625, 0.40625 + 0.0625);
-    cols.resize(dims * n);
-    qcols.resize(dims * n);
-    centre.assign(dims, 0.5);
-    for (std::size_t t = 0; t < dims; ++t) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x = rng.uniform();
-        cols[t * n + i] = x;
-        qcols[t * n + i] = acn::kernels::quantize(x);
-      }
-    }
     target_count = smoke ? 8 : 64;
     base_count = smoke ? 12 : 48;
     targets.resize(target_count * words);
@@ -185,22 +169,11 @@ void run_variant(const char* variant, const Workload& w, bool smoke,
                          acc.data(), surv.data());
                    }
                  })});
-
-  std::vector<std::uint32_t> radius_out(w.n);
-  std::vector<std::uint32_t> radius_maybe(w.n);
-  out.push_back({std::string("radius:") + variant, w.n,
-                 time_ms(reps, [&] {
-                   const auto r = ops.filter_in_radius(
-                       w.qcols.data(), w.cols.data(), w.n, w.dims,
-                       w.centre.data(), w.radius, w.ids.data(), w.n,
-                       radius_out.data(), radius_maybe.data());
-                   g_sink = g_sink + r.in_count + r.maybe_count;
-                 })});
 }
 
 // Byte-identity spot check between the two tables on the smoke inputs: the
-// window filter's id list, the survivor count of the node scan, and the
-// resolved radius member set must match exactly.
+// window filter's id list and the survivors of the node scan must match
+// exactly.
 bool smoke_check(const Workload& w) {
   if (!acn::kernels::avx2_available()) {
     std::printf("smoke: AVX2 unavailable, scalar only — nothing to compare\n");

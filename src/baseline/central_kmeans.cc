@@ -29,14 +29,14 @@ CharacterizationSets CentralKmeansBaseline::classify(const StatePair& state) con
   centres.reserve(k);
   const auto coords_of = [&](DeviceId j) {
     std::vector<double> c(jd);
-    for (std::size_t i = 0; i < jd; ++i) c[i] = state.joint(j)[i];
+    for (std::size_t i = 0; i < jd; ++i) c[i] = state.joint_col(i)[j];
     return c;
   };
   centres.push_back(coords_of(members[rng.uniform_int(members.size())]));
-  const auto sq_dist = [&](const std::vector<double>& a, const Point& p) {
+  const auto sq_dist = [&](const std::vector<double>& a, DeviceId j) {
     double s = 0.0;
     for (std::size_t i = 0; i < jd; ++i) {
-      const double delta = a[i] - p[i];
+      const double delta = a[i] - state.joint_col(i)[j];
       s += delta * delta;
     }
     return s;
@@ -46,7 +46,7 @@ CharacterizationSets CentralKmeansBaseline::classify(const StatePair& state) con
     DeviceId pick = members[0];
     for (const DeviceId j : members) {
       double nearest = std::numeric_limits<double>::infinity();
-      for (const auto& c : centres) nearest = std::min(nearest, sq_dist(c, state.joint(j)));
+      for (const auto& c : centres) nearest = std::min(nearest, sq_dist(c, j));
       if (nearest > best) {
         best = nearest;
         pick = j;
@@ -63,7 +63,7 @@ CharacterizationSets CentralKmeansBaseline::classify(const StatePair& state) con
       double nearest = std::numeric_limits<double>::infinity();
       std::size_t best = 0;
       for (std::size_t c = 0; c < centres.size(); ++c) {
-        const double dist = sq_dist(centres[c], state.joint(members[m]));
+        const double dist = sq_dist(centres[c], members[m]);
         if (dist < nearest) {
           nearest = dist;
           best = c;
@@ -81,7 +81,7 @@ CharacterizationSets CentralKmeansBaseline::classify(const StatePair& state) con
     for (std::size_t m = 0; m < members.size(); ++m) {
       ++counts[assignment[m]];
       for (std::size_t i = 0; i < jd; ++i) {
-        sums[assignment[m]][i] += state.joint(members[m])[i];
+        sums[assignment[m]][i] += state.joint_col(i)[members[m]];
       }
     }
     for (std::size_t c = 0; c < centres.size(); ++c) {

@@ -19,9 +19,9 @@ CharacterizationSets TessellationBaseline::classify(const StatePair& state) cons
   // Joint-space signature: bucket indices of all 2d coordinates, hashed.
   const auto signature = [&](DeviceId j) {
     std::uint64_t h = 1469598103934665603ULL;
-    const Point& joint = state.joint(j);
     for (std::size_t i = 0; i < state.joint_dim(); ++i) {
-      const auto cell = static_cast<std::int64_t>(std::floor(joint[i] / bucket_));
+      const auto cell =
+          static_cast<std::int64_t>(std::floor(state.joint_col(i)[j] / bucket_));
       h ^= static_cast<std::uint64_t>(cell) + 0x9E3779B97F4A7C15ULL;
       h *= 1099511628211ULL;
     }

@@ -20,21 +20,31 @@ FrameEngine::FrameEngine(Config config)
 }
 
 std::optional<FrameEngine::Result> FrameEngine::observe(
-    Snapshot positions, DeviceSet abnormal) {
+    const Snapshot& positions, DeviceSet abnormal) {
   stats_ = {};
   const kernels::Counters kernel_before = kernels::counters_snapshot();
   const auto t0 = Clock::now();
   if (!state_.has_value()) {
     // Priming snapshot: no previous state, nothing to characterize (any
     // abnormal ids are moot — there is no interval they fired in).
-    Snapshot prev = positions;  // the one unavoidable copy: both halves of S_0
-    state_.emplace(std::move(prev), std::move(positions), DeviceSet{});
+    state_.emplace(positions, positions, DeviceSet{});
     stats_.state_ms = ms_since(t0);
     ++intervals_;
     return std::nullopt;
   }
   state_->advance(positions, std::move(abnormal));
   return characterize_interval(t0, kernel_before);
+}
+
+void FrameEngine::prime(std::size_t dim, std::span<const double> rows) {
+  if (state_.has_value()) {
+    throw std::logic_error("FrameEngine::prime: already primed");
+  }
+  stats_ = {};
+  const auto t0 = Clock::now();
+  state_.emplace(dim, rows, rows, DeviceSet{});
+  stats_.state_ms = ms_since(t0);
+  ++intervals_;
 }
 
 FrameEngine::Result FrameEngine::observe(const PositionUpdate& update,

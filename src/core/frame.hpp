@@ -138,14 +138,22 @@ class FrameEngine {
 
   /// Feeds the snapshot of the next interval and characterizes every
   /// device of `abnormal` against the previous one. The first (priming)
-  /// snapshot is moved in as (S_0, S_0, {}) and returns std::nullopt;
+  /// snapshot becomes (S_0, S_0, {}) and returns std::nullopt;
   /// every later one is diffed against the current state (O(n)) and rolled
   /// like a change set. Throws std::invalid_argument if the fleet size or
   /// dimension changes — the engine's device universe is fixed
   /// (StatePair::roll precondition); deployments with churn feed it
   /// through FleetRoster, which recycles slots inside a fixed capacity
   /// instead of resizing the snapshot.
-  std::optional<Result> observe(Snapshot positions, DeviceSet abnormal);
+  std::optional<Result> observe(const Snapshot& positions, DeviceSet abnormal);
+
+  /// Primes the engine with S_0 given row-major, dim coordinates per
+  /// device (the FleetRoster layout): the state becomes (S_0, S_0, {}),
+  /// built straight into the joint columns with no Snapshot in between.
+  /// Same effect as a priming observe(Snapshot). Throws std::logic_error
+  /// if already primed and std::invalid_argument like StatePair's column
+  /// constructor.
+  void prime(std::size_t dim, std::span<const double> rows);
 
   /// Feeds the next interval as a change set: the devices whose position
   /// may have changed since the previous interval, with their new

@@ -24,10 +24,13 @@ std::uint64_t mix(std::uint64_t key, std::int64_t cell_coord) noexcept {
 
 using CellBase = std::array<std::int64_t, Point::kMaxDim>;
 
-CellBase cell_base(const Point& position, double cell) noexcept {
+/// Cell of device j's current position, read from the curr half of the
+/// joint columns.
+CellBase cell_base(const StatePair& state, DeviceId j, double cell) noexcept {
   CellBase base{};
-  for (std::size_t i = 0; i < position.dim(); ++i) {
-    base[i] = static_cast<std::int64_t>(std::floor(position[i] / cell));
+  const std::size_t d = state.dim();
+  for (std::size_t i = 0; i < d; ++i) {
+    base[i] = static_cast<std::int64_t>(std::floor(state.joint_col(d + i)[j] / cell));
   }
   return base;
 }
@@ -77,7 +80,7 @@ GridIndex::GridIndex(const StatePair& state, const DeviceSet& members, double ce
   bucket_of_cell_.reserve(m);
   bucket_offsets_.reserve(m + 1);
   for (std::size_t rank = 0; rank < m; ++rank) {
-    const std::uint64_t key = key_of(cell_base(state_.curr_pos(ids_[rank]), cell_), d);
+    const std::uint64_t key = key_of(cell_base(state_, ids_[rank], cell_), d);
     const auto [it, fresh] = bucket_of_cell_.try_emplace(
         key, static_cast<std::uint32_t>(bucket_offsets_.size()));
     if (fresh) bucket_offsets_.push_back(0);
@@ -98,11 +101,11 @@ GridIndex::GridIndex(const StatePair& state, const DeviceSet& members, double ce
   }
 }
 
-void GridIndex::buckets_near(const Point& centre, double radius,
+void GridIndex::buckets_near(DeviceId j, double radius,
                              std::vector<std::uint32_t>& out) const {
-  const std::size_t d = centre.dim();
+  const std::size_t d = state_.dim();
   const auto reach = static_cast<std::int64_t>(std::ceil(radius / cell_));
-  const CellBase base = cell_base(centre, cell_);
+  const CellBase base = cell_base(state_, j, cell_);
   const std::size_t first = out.size();
   // Odometer over every cell offset in [-reach, reach]^d.
   CellBase offset{};
@@ -140,7 +143,7 @@ void GridIndex::within_into(DeviceId j, double radius,
   out.clear();
   buckets.clear();
   run_ends.clear();
-  buckets_near(state_.curr_pos(j), radius, buckets);
+  buckets_near(j, radius, buckets);
   // Each bucket's hits form an ascending run (buckets hold ascending
   // ranks); the runs are disjoint, so merging them yields the sorted set.
   for (const std::uint32_t b : buckets) {
@@ -180,7 +183,7 @@ GridIndex::Components GridIndex::components(double radius) const {
       const std::uint32_t u = queue[head];
       const DeviceId uid = ids_[u];
       near.clear();
-      buckets_near(state_.curr_pos(uid), radius, near);
+      buckets_near(uid, radius, near);
       for (const std::uint32_t b : near) {
         std::uint32_t i = bucket_offsets_[b];
         std::uint32_t& end = live_end[b];

@@ -73,9 +73,9 @@ class GridIndex {
   [[nodiscard]] std::size_t member_count() const noexcept { return ids_.size(); }
 
  private:
-  /// Appends the distinct buckets of every cell within `radius` of
-  /// `centre` (current position) to `out`, ascending.
-  void buckets_near(const Point& centre, double radius,
+  /// Appends the distinct buckets of every cell within `radius` of device
+  /// j's current position to `out`, ascending.
+  void buckets_near(DeviceId j, double radius,
                     std::vector<std::uint32_t>& out) const;
 
   const StatePair& state_;

@@ -111,27 +111,6 @@ std::size_t scalar_nsc_scan_rows(const std::uint64_t* bases,
   return out_n;
 }
 
-RadiusFilter scalar_filter_in_radius(const std::uint32_t* /*qcols*/,
-                                     const double* cols, std::size_t stride,
-                                     std::size_t dims, const double* centre,
-                                     double radius, const std::uint32_t* ids,
-                                     std::size_t n, std::uint32_t* out,
-                                     std::uint32_t* /*maybe*/) {
-  RadiusFilter r;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t id = ids[i];
-    bool in = true;
-    for (std::size_t t = 0; t < dims; ++t) {
-      if (std::fabs(cols[t * stride + id] - centre[t]) > radius) {
-        in = false;
-        break;
-      }
-    }
-    if (in) out[r.in_count++] = id;
-  }
-  return r;
-}
-
 constexpr Ops kScalarOps = {
     "scalar",
     scalar_filter_in_window,
@@ -140,7 +119,6 @@ constexpr Ops kScalarOps = {
     scalar_scan_open,
     scalar_targets_all_below,
     scalar_nsc_scan_rows,
-    scalar_filter_in_radius,
 };
 
 // ---------------------------------------------------------------------------
@@ -149,7 +127,7 @@ constexpr Ops kScalarOps = {
 // exited (worker lanes are persistent, but nothing here should care).
 
 struct alignas(64) CounterBlock {
-  std::atomic<std::uint64_t> v[9] = {};
+  std::atomic<std::uint64_t> v[7] = {};
 };
 
 enum CounterIndex : std::size_t {
@@ -159,8 +137,6 @@ enum CounterIndex : std::size_t {
   kMinmaxItems,
   kPopcntCalls,
   kPopcntWords,
-  kRadiusCalls,
-  kRadiusItems,
   kCycles,
 };
 
@@ -264,7 +240,6 @@ inline const Ops* inner() noexcept {
 
 #ifndef NDEBUG
 thread_local std::vector<std::uint32_t> t_check_out;
-thread_local std::vector<std::uint32_t> t_check_maybe;
 #endif
 
 std::size_t counted_filter_in_window(const std::uint32_t* qcol, const double* col,
@@ -393,49 +368,6 @@ std::size_t counted_nsc_scan_rows(const std::uint64_t* bases,
   return out_n;
 }
 
-RadiusFilter counted_filter_in_radius(const std::uint32_t* qcols, const double* cols,
-                                      std::size_t stride, std::size_t dims,
-                                      const double* centre, double radius,
-                                      const std::uint32_t* ids, std::size_t n,
-                                      std::uint32_t* out, std::uint32_t* maybe) {
-  CounterBlock* c = tls_counters();
-  bump(c, kRadiusCalls, kRadiusItems, n);
-  const std::uint64_t t0 = g_cycles_enabled ? read_tsc() : 0;
-  const RadiusFilter r = inner()->filter_in_radius(qcols, cols, stride, dims, centre,
-                                                   radius, ids, n, out, maybe);
-  if (g_cycles_enabled) c->v[kCycles].fetch_add(read_tsc() - t0, std::memory_order_relaxed);
-#ifndef NDEBUG
-  if (g_crosscheck.load(std::memory_order_acquire)) {
-    // The SIMD split (definite + slop band) must resolve to exactly the
-    // scalar member set once the band is settled by the exact predicate.
-    t_check_out.resize(n);
-    t_check_maybe.clear();
-    const RadiusFilter ref = scalar_filter_in_radius(
-        qcols, cols, stride, dims, centre, radius, ids, n, t_check_out.data(), nullptr);
-    t_check_maybe.assign(out, out + r.in_count);
-    for (std::size_t i = 0; i < r.maybe_count; ++i) {
-      const std::uint32_t id = maybe[i];
-      bool in = true;
-      for (std::size_t t = 0; t < dims; ++t) {
-        if (std::fabs(cols[t * stride + id] - centre[t]) > radius) {
-          in = false;
-          break;
-        }
-      }
-      if (in) t_check_maybe.push_back(id);
-    }
-    std::sort(t_check_maybe.begin(), t_check_maybe.end());
-    std::sort(t_check_out.begin(), t_check_out.begin() + static_cast<std::ptrdiff_t>(ref.in_count));
-    assert(ref.in_count == t_check_maybe.size() &&
-           "filter_in_radius: SIMD/scalar member-count mismatch");
-    assert(std::equal(t_check_maybe.begin(), t_check_maybe.end(),
-                      t_check_out.begin()) &&
-           "filter_in_radius: SIMD/scalar member-set mismatch");
-  }
-#endif
-  return r;
-}
-
 const Ops kCountedOps = {
     "counted",
     counted_filter_in_window,
@@ -444,7 +376,6 @@ const Ops kCountedOps = {
     counted_scan_open,
     counted_targets_all_below,
     counted_nsc_scan_rows,
-    counted_filter_in_radius,
 };
 
 }  // namespace
@@ -513,8 +444,6 @@ Counters counters_snapshot() noexcept {
     total.minmax_items += block->v[kMinmaxItems].load(std::memory_order_relaxed);
     total.popcnt_calls += block->v[kPopcntCalls].load(std::memory_order_relaxed);
     total.popcnt_words += block->v[kPopcntWords].load(std::memory_order_relaxed);
-    total.radius_calls += block->v[kRadiusCalls].load(std::memory_order_relaxed);
-    total.radius_items += block->v[kRadiusItems].load(std::memory_order_relaxed);
     total.cycles += block->v[kCycles].load(std::memory_order_relaxed);
   }
   return total;

@@ -30,16 +30,6 @@ struct OpenScan {
   bool l_any = false;
 };
 
-/// Result of the Chebyshev-ball prefilter: `in_count` ids written to `out`
-/// are definitely inside the ball, `maybe_count` ids written to `maybe` sit
-/// in the quantization slop band and must be resolved by the caller with
-/// the exact scalar distance. (The scalar kernel resolves everything itself
-/// and always returns maybe_count == 0.)
-struct RadiusFilter {
-  std::size_t in_count = 0;
-  std::size_t maybe_count = 0;
-};
-
 /// The kernel table. All functions are stateless and thread-safe.
 struct Ops {
   const char* name;  ///< "scalar" or "avx2"
@@ -91,16 +81,6 @@ struct Ops {
                                std::uint64_t tau, std::uint64_t* acc,
                                std::uint32_t* out_rows);
 
-  /// Chebyshev-ball prefilter over the joint columns: classifies each id of
-  /// `ids` against max_t |cols[t][id] - centre[t]| <= radius using the
-  /// quantized mirror (qcols, same [dim][device] layout with row stride
-  /// `stride`). Definite members go to `out`, slop-band ids to `maybe` (both
-  /// capacity >= n, input order preserved within each).
-  RadiusFilter (*filter_in_radius)(const std::uint32_t* qcols, const double* cols,
-                                   std::size_t stride, std::size_t dims,
-                                   const double* centre, double radius,
-                                   const std::uint32_t* ids, std::size_t n,
-                                   std::uint32_t* out, std::uint32_t* maybe);
 };
 
 /// The selected table (cached after the first call).
@@ -142,6 +122,9 @@ struct Counters {
   std::uint64_t minmax_items = 0;
   std::uint64_t popcnt_calls = 0;
   std::uint64_t popcnt_words = 0;
+  /// Always 0: no kernel charges these any more (the radius prefilter had
+  /// no caller and was removed). Kept so that sums over every counter
+  /// field, as downstream reports compute them, stay valid.
   std::uint64_t radius_calls = 0;
   std::uint64_t radius_items = 0;
   std::uint64_t cycles = 0;

@@ -20,6 +20,15 @@ void JointBox::add(const Point& joint_position) noexcept {
   ++count_;
 }
 
+void JointBox::add(const StatePair& state, DeviceId j) noexcept {
+  for (std::size_t i = 0; i < dim_; ++i) {
+    const double x = state.joint_col(i)[j];
+    if (x < lo_[i]) lo_[i] = x;
+    if (x > hi_[i]) hi_[i] = x;
+  }
+  ++count_;
+}
+
 double JointBox::side() const noexcept {
   if (count_ < 2) return 0.0;
   double best = 0.0;
@@ -38,10 +47,11 @@ bool JointBox::within(double window) const noexcept {
   return true;
 }
 
-bool JointBox::would_fit(const Point& joint_position, double window) const noexcept {
+bool JointBox::would_fit(const StatePair& state, DeviceId j,
+                         double window) const noexcept {
   if (count_ == 0) return true;
   for (std::size_t i = 0; i < dim_; ++i) {
-    const double x = joint_position[i];
+    const double x = state.joint_col(i)[j];
     const double lo = x < lo_[i] ? x : lo_[i];
     const double hi = x > hi_[i] ? x : hi_[i];
     if (hi - lo > window) return false;
@@ -74,26 +84,26 @@ bool has_consistent_motion(const StatePair& state, const DeviceSet& set, double 
 
 double joint_diameter(const StatePair& state, const DeviceSet& set) {
   JointBox box(state.joint_dim());
-  for (const DeviceId j : set) box.add(state.joint(j));
+  for (const DeviceId j : set) box.add(state, j);
   return box.side();
 }
 
 bool motion_with_extra(const StatePair& state, const DeviceSet& set, DeviceId extra,
                        double r) {
   JointBox box(state.joint_dim());
-  for (const DeviceId j : set) box.add(state.joint(j));
+  for (const DeviceId j : set) box.add(state, j);
   if (!box.within(2.0 * r)) return false;
-  return box.would_fit(state.joint(extra), 2.0 * r);
+  return box.would_fit(state, extra, 2.0 * r);
 }
 
 bool is_maximal_motion_in(const StatePair& state, const DeviceSet& set,
                           std::span<const DeviceId> universe, double r) {
   if (!has_consistent_motion(state, set, r)) return false;
   JointBox box(state.joint_dim());
-  for (const DeviceId j : set) box.add(state.joint(j));
+  for (const DeviceId j : set) box.add(state, j);
   for (const DeviceId candidate : universe) {
     if (set.contains(candidate)) continue;
-    if (box.would_fit(state.joint(candidate), 2.0 * r)) return false;
+    if (box.would_fit(state, candidate, 2.0 * r)) return false;
   }
   return true;
 }

@@ -20,6 +20,8 @@ class JointBox {
   explicit JointBox(std::size_t joint_dim) noexcept;
 
   void add(const Point& joint_position) noexcept;
+  /// add(state.joint(j)), read from the joint columns (no Point built).
+  void add(const StatePair& state, DeviceId j) noexcept;
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
 
@@ -29,8 +31,10 @@ class JointBox {
   /// True if every dimension extent is <= window.
   [[nodiscard]] bool within(double window) const noexcept;
 
-  /// True if the box would still satisfy within(window) after add(p).
-  [[nodiscard]] bool would_fit(const Point& joint_position, double window) const noexcept;
+  /// True if the box would still satisfy within(window) after
+  /// add(state, j); reads device j's joint columns.
+  [[nodiscard]] bool would_fit(const StatePair& state, DeviceId j,
+                               double window) const noexcept;
 
  private:
   std::array<double, Point::kMaxDim> lo_{};

@@ -140,7 +140,6 @@ bool exists_dense_window_cover(const StatePair& state, const Params& params,
                                std::uint64_t* windows_explored) {
   if (pool.size() <= params.tau) return false;
   const double window = params.window();
-  const Point* anchor_joint = anchor.has_value() ? &state.joint(*anchor) : nullptr;
 
   // This slide visits dimensions in natural order; the shared tight-cluster
   // cut takes the remaining suffix of this identity order.
@@ -172,8 +171,8 @@ bool exists_dense_window_cover(const StatePair& state, const Params& params,
     const double* col = state.joint_col(dim_index);
     std::vector<double> edges;
     edges.reserve(active.size());
-    if (anchor_joint != nullptr) {
-      const double ax = (*anchor_joint)[dim_index];
+    if (anchor.has_value()) {
+      const double ax = col[*anchor];
       const double lo = ax - window;
       for (const DeviceId id : active) {
         const double x = col[id];

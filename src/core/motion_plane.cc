@@ -181,8 +181,9 @@ const double* prepare_pool(const StatePair& state, const Params& params,
         pool.push_back(candidate);
       }
     }
-    const Point& a = state.joint(*anchor);
-    for (std::size_t t = 0; t < state.joint_dim(); ++t) anchor_coords[t] = a[t];
+    for (std::size_t t = 0; t < state.joint_dim(); ++t) {
+      anchor_coords[t] = state.joint_col(t)[*anchor];
+    }
     anchor_joint = anchor_coords.data();
   } else {
     pool.assign(pool_in.begin(), pool_in.end());

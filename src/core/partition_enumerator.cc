@@ -83,13 +83,12 @@ void enumerate_motion_partitions(
       return;
     }
     const DeviceId j = members[index];
-    const Point& joint = state.joint(j);
     // Join an existing class if the motion property survives.
     for (std::size_t c = 0; c < classes.size(); ++c) {
-      if (!boxes[c].would_fit(joint, window)) continue;
+      if (!boxes[c].would_fit(state, j, window)) continue;
       classes[c].push_back(j);
       const JointBox saved = boxes[c];
-      boxes[c].add(joint);
+      boxes[c].add(state, j);
       recurse(index + 1);
       boxes[c] = saved;
       classes[c].pop_back();
@@ -98,7 +97,7 @@ void enumerate_motion_partitions(
     // smallest member, so each partition is produced exactly once).
     classes.push_back({j});
     boxes.emplace_back(state.joint_dim());
-    boxes.back().add(joint);
+    boxes.back().add(state, j);
     recurse(index + 1);
     classes.pop_back();
     boxes.pop_back();
@@ -124,9 +123,9 @@ bool PartitionEnumerator::component_partition_valid(
   // fits), so it gates the window slide below.
   for (const auto* cls : dense) {
     JointBox box(state_.joint_dim());
-    for (const DeviceId id : *cls) box.add(state_.joint(id));
+    for (const DeviceId id : *cls) box.add(state_, id);
     for (const DeviceId ell : sparse_union) {
-      if (box.would_fit(state_.joint(ell), params_.window())) return false;
+      if (box.would_fit(state_, ell, params_.window())) return false;
     }
   }
   // C1: no dense motion within the sparse union, checked by an unanchored

@@ -22,37 +22,100 @@ Snapshot::Snapshot(std::vector<Point> positions) : positions_(std::move(position
   }
 }
 
-StatePair::StatePair(Snapshot prev, Snapshot curr, DeviceSet abnormal)
-    : prev_(std::move(prev)), curr_(std::move(curr)), abnormal_(std::move(abnormal)) {
-  if (prev_.size() != curr_.size()) {
-    throw std::invalid_argument("StatePair: snapshots must have the same size");
+StatePair::StatePair(std::size_t n, std::size_t dim, DeviceSet abnormal)
+    : n_(n), dim_(dim), abnormal_(std::move(abnormal)) {
+  if (dim_ == 0 || dim_ > Point::kMaxDim / 2) {
+    throw std::invalid_argument("StatePair: dimension out of range");
   }
-  if (prev_.dim() != curr_.dim()) {
-    throw std::invalid_argument("StatePair: snapshots must have the same dimension");
-  }
-  if (!abnormal_.empty() && abnormal_[abnormal_.size() - 1] >= prev_.size()) {
+  if (!abnormal_.empty() && abnormal_[abnormal_.size() - 1] >= n_) {
     throw std::invalid_argument("StatePair: abnormal set references unknown device");
   }
-  joint_.reserve(n());
-  for (DeviceId j = 0; j < n(); ++j) {
-    joint_.push_back(Point::concat(prev_[j], curr_[j]));
-    if (!(prev_[j] == curr_[j])) moved_.push_back(j);
+  joint_cols_.resize(joint_dim() * n_);
+  qcols_.resize(joint_dim() * n_);
+}
+
+StatePair::StatePair(const Snapshot& prev, const Snapshot& curr, DeviceSet abnormal)
+    : StatePair(prev.size(), prev.dim(), std::move(abnormal)) {
+  if (prev.size() != curr.size()) {
+    throw std::invalid_argument("StatePair: snapshots must have the same size");
   }
-  joint_cols_.resize(joint_dim() * n());
-  qcols_.resize(joint_dim() * n());
-  for (std::size_t t = 0; t < joint_dim(); ++t) {
-    double* col = joint_cols_.data() + t * n();
-    std::uint32_t* qcol = qcols_.data() + t * n();
-    for (DeviceId j = 0; j < n(); ++j) {
-      col[j] = joint_[j][t];
-      qcol[j] = kernels::quantize(col[j]);
+  if (prev.dim() != curr.dim()) {
+    throw std::invalid_argument("StatePair: snapshots must have the same dimension");
+  }
+  for (std::size_t t = 0; t < dim_; ++t) {
+    double* prev_col = joint_cols_.data() + t * n_;
+    double* curr_col = joint_cols_.data() + (dim_ + t) * n_;
+    for (DeviceId j = 0; j < n_; ++j) {
+      prev_col[j] = prev[j][t];
+      curr_col[j] = curr[j][t];
+    }
+  }
+  finish_build();
+}
+
+StatePair::StatePair(std::size_t dim, std::span<const double> prev_rows,
+                     std::span<const double> curr_rows, DeviceSet abnormal)
+    : StatePair(dim == 0 ? 0 : prev_rows.size() / dim, dim, std::move(abnormal)) {
+  if (prev_rows.empty() || prev_rows.size() % dim != 0 ||
+      curr_rows.size() != prev_rows.size()) {
+    throw std::invalid_argument(
+        "StatePair: coordinate rows must be non-empty, whole and of equal length");
+  }
+  for (const std::span<const double> rows : {prev_rows, curr_rows}) {
+    for (const double x : rows) {
+      if (x < 0.0 || x > 1.0) {
+        throw std::invalid_argument("StatePair: coordinate outside [0,1]");
+      }
+    }
+  }
+  for (std::size_t t = 0; t < dim_; ++t) {
+    double* prev_col = joint_cols_.data() + t * n_;
+    double* curr_col = joint_cols_.data() + (dim_ + t) * n_;
+    for (DeviceId j = 0; j < n_; ++j) {
+      prev_col[j] = prev_rows[j * dim_ + t];
+      curr_col[j] = curr_rows[j * dim_ + t];
+    }
+  }
+  finish_build();
+}
+
+void StatePair::finish_build() {
+  for (std::size_t i = 0; i < joint_cols_.size(); ++i) {
+    qcols_[i] = kernels::quantize(joint_cols_[i]);
+  }
+  for (DeviceId j = 0; j < n_; ++j) {
+    for (std::size_t t = 0; t < dim_; ++t) {
+      if (joint_col(t)[j] != joint_col(dim_ + t)[j]) {
+        moved_.push_back(j);
+        break;
+      }
     }
   }
 }
 
+Point StatePair::point_at(DeviceId j, std::size_t first, std::size_t count) const {
+  Point p = Point::zero(count);
+  for (std::size_t t = 0; t < count; ++t) p[t] = joint_col(first + t)[j];
+  return p;
+}
+
+Snapshot StatePair::snapshot_at(std::size_t first) const {
+  // The columns hold validated coordinates; skip Snapshot's re-check.
+  std::vector<Point> positions;
+  positions.reserve(n_);
+  for (DeviceId j = 0; j < n_; ++j) positions.push_back(point_at(j, first, dim_));
+  return Snapshot(std::move(positions), dim_);
+}
+
+std::size_t StatePair::bytes() const noexcept {
+  return joint_cols_.capacity() * sizeof(double) +
+         qcols_.capacity() * sizeof(std::uint32_t) +
+         moved_.capacity() * sizeof(DeviceId) + abnormal_.size() * sizeof(DeviceId);
+}
+
 void StatePair::roll(const PositionUpdate& update, DeviceSet abnormal) {
-  const std::size_t d = dim();
-  const std::size_t count = n();
+  const std::size_t d = dim_;
+  const std::size_t count = n_;
   const std::span<const DeviceId> ids = update.ids;
   if (update.coords.size() != ids.size() * d) {
     throw std::invalid_argument(
@@ -77,28 +140,25 @@ void StatePair::roll(const PositionUpdate& update, DeviceSet abnormal) {
   }
   abnormal_ = std::move(abnormal);
 
-  // joint_[j] = (prev | curr). The new prev half is the old curr half,
-  // already stored at offsets [d, 2d); the two differ only for the devices
-  // the last roll moved, so only those shift down.
-  const auto write = [&](DeviceId j, std::size_t t, double x) {
-    joint_[j][t] = x;
-    joint_cols_[t * count + j] = x;
-    qcols_[t * count + j] = kernels::quantize(x);
-  };
+  // The new prev half is the old curr half, stored at joint dimensions
+  // [d, 2d); the two differ only for the devices the last roll moved, so
+  // only those shift down (the quantized mirror is copied, not recomputed).
   for (const DeviceId j : moved_) {
-    for (std::size_t t = 0; t < d; ++t) write(j, t, joint_[j][d + t]);
-    prev_.positions_[j] = curr_.positions_[j];
+    for (std::size_t t = 0; t < d; ++t) {
+      joint_cols_[t * count + j] = joint_cols_[(d + t) * count + j];
+      qcols_[t * count + j] = qcols_[(d + t) * count + j];
+    }
   }
   moved_.clear();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const DeviceId j = ids[i];
     const double* next = update.coords.data() + i * d;
-    Point& current = curr_.positions_[j];
     bool changed = false;
     for (std::size_t t = 0; t < d; ++t) {
-      if (current[t] != next[t]) {
-        current[t] = next[t];
-        write(j, d + t, next[t]);
+      double& current = joint_cols_[(d + t) * count + j];
+      if (current != next[t]) {
+        current = next[t];
+        qcols_[(d + t) * count + j] = kernels::quantize(next[t]);
         changed = true;
       }
     }
@@ -107,20 +167,24 @@ void StatePair::roll(const PositionUpdate& update, DeviceSet abnormal) {
 }
 
 void StatePair::advance(const Snapshot& next, DeviceSet abnormal) {
-  if (next.size() != n()) {
+  if (next.size() != n_) {
     throw std::invalid_argument(
         "StatePair::advance: fleet size changed (the device universe is "
         "fixed per engine; route churn through FleetRoster, which parks "
         "vacant slots instead of resizing)");
   }
-  if (next.dim() != dim()) {
+  if (next.dim() != dim_) {
     throw std::invalid_argument("StatePair::advance: dimension changed");
   }
   PositionUpdate diff;
-  for (DeviceId j = 0; j < n(); ++j) {
-    if (next[j] == curr_[j]) continue;
-    diff.ids.push_back(j);
+  for (DeviceId j = 0; j < n_; ++j) {
     const std::span<const double> coords = next[j].coords();
+    bool differs = false;
+    for (std::size_t t = 0; t < dim_; ++t) {
+      differs |= coords[t] != joint_col(dim_ + t)[j];
+    }
+    if (!differs) continue;
+    diff.ids.push_back(j);
     diff.coords.insert(diff.coords.end(), coords.begin(), coords.end());
   }
   roll(diff, std::move(abnormal));

@@ -48,24 +48,31 @@ void IngestPipeline::prime(
   if (primed_) {
     throw std::logic_error("IngestPipeline::prime: already primed");
   }
-  for (const auto& [key, position] : fleet) {
-    monitor_.admit(key, position);
-    liveness_.admitted(key, 0);
+  for (const auto& [key, position] : fleet) admit_at_prime(key, position);
+  seal_prime();
+}
+
+void IngestPipeline::prime(const Snapshot& initial) {
+  if (primed_) {
+    throw std::logic_error("IngestPipeline::prime: already primed");
   }
-  // Seal interval 0: primes the engine's ring with the roster snapshot and
+  for (DeviceId j = 0; j < initial.size(); ++j) {
+    admit_at_prime(static_cast<GatewayKey>(j), initial[j]);
+  }
+  seal_prime();
+}
+
+void IngestPipeline::admit_at_prime(GatewayKey key, const Point& position) {
+  monitor_.admit(key, position);
+  liveness_.admitted(key, 0);
+}
+
+void IngestPipeline::seal_prime() {
+  // Seal interval 0: primes the engine straight from the roster's rows and
   // clears the just-admitted markers, so interval 1 trajectories exist.
   (void)monitor_.close_interval({});
   sealed_revision_ = roster_->revision();
   primed_ = true;
-}
-
-void IngestPipeline::prime(const Snapshot& initial) {
-  std::vector<std::pair<GatewayKey, Point>> fleet;
-  fleet.reserve(initial.size());
-  for (DeviceId j = 0; j < initial.size(); ++j) {
-    fleet.emplace_back(static_cast<GatewayKey>(j), initial[j]);
-  }
-  prime(fleet);
 }
 
 void IngestPipeline::push(const QosReport& report) {

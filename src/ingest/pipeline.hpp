@@ -129,7 +129,8 @@ class IngestPipeline {
   /// motion yet). Event-time intervals in reports start at 1. Throws if
   /// called twice or if the fleet exceeds capacity.
   void prime(std::span<const std::pair<GatewayKey, Point>> fleet);
-  /// Convenience: devices 0..n-1 at the snapshot's positions.
+  /// Convenience: devices 0..n-1 at the snapshot's positions, admitted
+  /// straight from the snapshot.
   void prime(const Snapshot& initial);
 
   /// Ingests one report: dedups/stages it, advances the watermark, seals
@@ -178,6 +179,10 @@ class IngestPipeline {
   }
 
  private:
+  /// prime()'s per-device step: roster admission and liveness start.
+  void admit_at_prime(GatewayKey key, const Point& position);
+  /// prime()'s last step: seals interval 0 (the engine's priming state).
+  void seal_prime();
   void seal(std::uint64_t interval, bool forced);
   /// Seals every interval the watermark or the flood bound has passed.
   void seal_ready();

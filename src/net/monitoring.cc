@@ -62,7 +62,7 @@ std::optional<SnapshotOutcome> MonitoringSwarm::tick(QosNetwork& network,
   // The frozen snapshot is moved into the engine's rolling ring; the engine
   // rolls its state in place and characterizes A_k over the shared plane.
   const std::optional<FrameEngine::Result> result =
-      engine_.observe(std::move(current), outcome.abnormal);
+      engine_.observe(current, outcome.abnormal);
   if (!result.has_value() || outcome.abnormal.empty()) return outcome;
 
   for (std::size_t i = 0; i < result->decisions.size(); ++i) {

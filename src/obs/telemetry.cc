@@ -84,7 +84,11 @@ TelemetryHub::TelemetryHub(TelemetryConfig config)
 }
 
 std::uint32_t TelemetryHub::region_of(const Point& p) const noexcept {
-  const double scaled = p[0] * static_cast<double>(config_.regions);
+  return region_of(p[0]);
+}
+
+std::uint32_t TelemetryHub::region_of(double x0) const noexcept {
+  const double scaled = x0 * static_cast<double>(config_.regions);
   const auto region = static_cast<std::uint32_t>(scaled < 0.0 ? 0.0 : scaled);
   return std::min(region, config_.regions - 1);
 }
@@ -94,10 +98,12 @@ std::vector<RegionStats> TelemetryHub::tally_regions(
     const DeviceSet& isolated, const DeviceSet& massive,
     const DeviceSet& unresolved) const {
   std::vector<RegionStats> regions(config_.regions);
+  std::vector<double> x0(positions.size());
   for (DeviceId j = 0; j < positions.size(); ++j) {
-    ++regions[region_of(positions[j])].devices;
+    x0[j] = positions[j][0];
+    ++regions[region_of(x0[j])].devices;
   }
-  tally_sets(regions, positions, abnormal, isolated, massive, unresolved);
+  tally_sets(regions, x0.data(), abnormal, isolated, massive, unresolved);
   return regions;
 }
 
@@ -105,15 +111,18 @@ std::vector<RegionStats> TelemetryHub::tally_regions(
     std::uint64_t roll, const StatePair& state, const DeviceSet& abnormal,
     const DeviceSet& isolated, const DeviceSet& massive,
     const DeviceSet& unresolved) {
+  // Dimension 0 at k-1 and at k: joint columns 0 and dim().
+  const double* prev_x0 = state.joint_col(0);
+  const double* curr_x0 = state.joint_col(state.dim());
   if (!region_devices_.empty() && roll == counted_roll_ + 1) {
     for (const DeviceId j : state.moved()) {
-      --region_devices_[region_of(state.prev_pos(j))];
-      ++region_devices_[region_of(state.curr_pos(j))];
+      --region_devices_[region_of(prev_x0[j])];
+      ++region_devices_[region_of(curr_x0[j])];
     }
   } else {
     region_devices_.assign(config_.regions, 0);
     for (DeviceId j = 0; j < state.n(); ++j) {
-      ++region_devices_[region_of(state.curr_pos(j))];
+      ++region_devices_[region_of(curr_x0[j])];
     }
   }
   counted_roll_ = roll;
@@ -121,19 +130,19 @@ std::vector<RegionStats> TelemetryHub::tally_regions(
   for (std::uint32_t r = 0; r < config_.regions; ++r) {
     regions[r].devices = region_devices_[r];
   }
-  tally_sets(regions, state.curr(), abnormal, isolated, massive, unresolved);
+  tally_sets(regions, curr_x0, abnormal, isolated, massive, unresolved);
   return regions;
 }
 
 void TelemetryHub::tally_sets(std::vector<RegionStats>& regions,
-                              const Snapshot& positions,
+                              const double* x0,
                               const DeviceSet& abnormal,
                               const DeviceSet& isolated,
                               const DeviceSet& massive,
                               const DeviceSet& unresolved) const {
   const auto tally = [&](const DeviceSet& set, std::uint32_t RegionStats::*member) {
     for (const DeviceId j : set.ids()) {
-      regions[region_of(positions[j])].*member += 1;
+      regions[region_of(x0[j])].*member += 1;
     }
   };
   tally(abnormal, &RegionStats::abnormal);

@@ -95,8 +95,11 @@ class TelemetryHub {
   void annotate_ingest(std::uint64_t interval, const IngestSample& sample);
 
  private:
-  /// Adds the verdict sets, located at `positions`, to `regions`.
-  void tally_sets(std::vector<RegionStats>& regions, const Snapshot& positions,
+  /// Region of a dim-0 coordinate.
+  [[nodiscard]] std::uint32_t region_of(double x0) const noexcept;
+  /// Adds the verdict sets to `regions`, device j located by its dim-0
+  /// coordinate x0[j].
+  void tally_sets(std::vector<RegionStats>& regions, const double* x0,
                   const DeviceSet& abnormal, const DeviceSet& isolated,
                   const DeviceSet& massive, const DeviceSet& unresolved) const;
 

@@ -61,7 +61,7 @@ IntervalReport OnlineMonitor::close_interval(
     roster_->changes(changes_);
     result = engine_.observe(changes_, abnormal);
   } else {
-    result = engine_.observe(roster_->snapshot(), abnormal);
+    engine_.prime(roster_->dim(), roster_->coords());
   }
   // Only now, with the roll in: an observe() that threw keeps the set, and
   // the next interval re-offers it (the roll drops what already landed).
@@ -74,7 +74,7 @@ const FleetRoster& OnlineMonitor::roster() const {
   return *roster_;
 }
 
-IntervalReport OnlineMonitor::observe(Snapshot positions,
+IntervalReport OnlineMonitor::observe(const Snapshot& positions,
                                       const DeviceSet& abnormal,
                                       bool degraded) {
   if (roster_.has_value()) {
@@ -84,7 +84,7 @@ IntervalReport OnlineMonitor::observe(Snapshot positions,
   }
   const auto start = std::chrono::steady_clock::now();
   const std::optional<FrameEngine::Result> result =
-      engine_.observe(std::move(positions), abnormal);
+      engine_.observe(positions, abnormal);
   return finish_interval(result, abnormal, degraded, start);
 }
 

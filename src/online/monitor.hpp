@@ -81,7 +81,7 @@ class OnlineMonitor {
 
   explicit OnlineMonitor(Config config);
 
-  /// Feeds the snapshot of interval k (moved into the engine); returns
+  /// Feeds the snapshot of interval k (diffed into the engine); returns
   /// verdicts (empty report for the very first snapshot — no motion to
   /// characterize yet). `degraded` marks an interval the ingestion layer
   /// sealed under shed/defer/forced-close policy; it is carried through to
@@ -89,7 +89,7 @@ class OnlineMonitor {
   /// fleet size or dimension changes, std::logic_error in roster mode
   /// (there close_interval() feeds the engine, and a snapshot fed past the
   /// roster would desynchronize its change set from the engine's state).
-  IntervalReport observe(Snapshot positions, const DeviceSet& abnormal,
+  IntervalReport observe(const Snapshot& positions, const DeviceSet& abnormal,
                          bool degraded = false);
 
   // --- churned-fleet front door (roster mode; throws std::logic_error
@@ -114,8 +114,9 @@ class OnlineMonitor {
   }
   /// Closes the interval: maps the abnormal gateway keys to slots
   /// (dropping retired and just-admitted gateways) and feeds the engine —
-  /// the churn-tolerant observe(). The first close primes the engine with
-  /// the roster snapshot; every later one hands it only the roster's
+  /// the churn-tolerant observe(). The first close primes the engine
+  /// straight from the roster's coordinate rows; every later one hands it
+  /// only the roster's
   /// change set, which is cleared once the engine has rolled it in.
   /// `degraded` is the ingestion layer's quality marker (see observe()).
   IntervalReport close_interval(std::span<const GatewayKey> abnormal_keys,

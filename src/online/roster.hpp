@@ -111,9 +111,13 @@ class FleetRoster {
   [[nodiscard]] std::size_t capacity() const noexcept { return occupied_.size(); }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
 
-  /// The dense fixed-size snapshot the engine is primed with: active slots
-  /// at their reported position, parked slots frozen at their last one.
-  /// O(capacity) — later intervals reach the engine as changes().
+  /// Every slot's coordinates, row-major (dim() per slot): active slots at
+  /// their reported position, parked slots frozen at their last one. The
+  /// engine is primed straight from these rows (FrameEngine::prime); later
+  /// intervals reach it as changes().
+  [[nodiscard]] std::span<const double> coords() const noexcept { return coords_; }
+  /// The same positions as a Snapshot — O(capacity) Points, for callers
+  /// that want one (tests, reference feeds); the engine never needs it.
   [[nodiscard]] Snapshot snapshot() const;
 
   /// The change set: slots whose coordinates changed since the last

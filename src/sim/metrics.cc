@@ -85,21 +85,40 @@ StepMetrics evaluate_step(FrameEngine& engine, const ScenarioStep& step) {
   // step k-1's current one), so the engine's rolling state stays aligned
   // with the scenario; the first step primes the ring. A misaligned feed
   // (engine reused across generators, skipped steps) would silently score
-  // decisions against the wrong truth, so the contract is enforced — this
-  // path already pays an O(n) snapshot copy per step, the comparison is
-  // noise against it.
+  // decisions against the wrong truth, so the contract is enforced by an
+  // O(n) column comparison. Once aligned, the step's moved list is exactly
+  // the engine's change set.
+  const StatePair& next = step.state;
+  const std::size_t d = next.dim();
   if (!engine.primed()) {
-    (void)engine.observe(step.state.prev(), DeviceSet{});
-  } else if (engine.state().curr().positions() != step.state.prev().positions()) {
-    throw std::invalid_argument(
-        "evaluate_step: engine state is not aligned with the step's previous "
-        "snapshot (one engine per contiguous scenario stream)");
+    (void)engine.observe(next.prev(), DeviceSet{});
+  } else {
+    const StatePair& held = engine.state();
+    bool aligned = held.n() == next.n() && held.dim() == d;
+    for (std::size_t t = 0; aligned && t < d; ++t) {
+      const double* have = held.joint_col(d + t);
+      const double* want = next.joint_col(t);
+      for (DeviceId j = 0; j < next.n(); ++j) {
+        if (have[j] != want[j]) {
+          aligned = false;
+          break;
+        }
+      }
+    }
+    if (!aligned) {
+      throw std::invalid_argument(
+          "evaluate_step: engine state is not aligned with the step's previous "
+          "snapshot (one engine per contiguous scenario stream)");
+    }
   }
-  const std::optional<FrameEngine::Result> result =
-      engine.observe(step.state.curr(), step.state.abnormal());
-  return tally_step(result.has_value() ? result->decisions
-                                       : std::vector<Decision>{},
-                    step.state.abnormal(), step.truth);
+  PositionUpdate update;
+  update.ids.assign(next.moved().begin(), next.moved().end());
+  update.coords.reserve(update.ids.size() * d);
+  for (const DeviceId j : update.ids) {
+    for (std::size_t t = 0; t < d; ++t) update.coords.push_back(next.joint_col(d + t)[j]);
+  }
+  const FrameEngine::Result result = engine.observe(update, next.abnormal());
+  return tally_step(result.decisions, next.abnormal(), step.truth);
 }
 
 void RunMetrics::add(const StepMetrics& m) {

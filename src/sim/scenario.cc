@@ -5,6 +5,18 @@
 #include <stdexcept>
 
 namespace acn {
+namespace {
+
+/// Row-major coordinates of `points`, the layout of StatePair's column
+/// constructor.
+std::vector<double> rows_of(const std::vector<Point>& points, std::size_t d) {
+  std::vector<double> rows;
+  rows.reserve(points.size() * d);
+  for (const Point& p : points) rows.insert(rows.end(), p.coords().begin(), p.coords().end());
+  return rows;
+}
+
+}  // namespace
 
 void ScenarioParams::validate() const {
   model.validate();
@@ -131,7 +143,7 @@ ScenarioStep ScenarioGenerator::advance() {
 }
 
 ScenarioStep ScenarioGenerator::advance(std::uint32_t errors) {
-  const std::vector<Point> prev = positions_;
+  const std::vector<Point>& prev = positions_;  // S_{k-1}; replaced at the end
   std::vector<Point> curr = positions_;
   std::vector<bool> used(params_.n, false);
 
@@ -278,11 +290,11 @@ ScenarioStep ScenarioGenerator::advance(std::uint32_t errors) {
     place_group(anchor, true, rng_.bernoulli(params_.concomitance));
   }
 
-  positions_ = curr;
+  StatePair state(params_.d, rows_of(prev, params_.d), rows_of(curr, params_.d),
+                  truth.abnormal);
+  positions_ = std::move(curr);
   ++steps_;
-  return ScenarioStep{
-      StatePair(Snapshot(prev), Snapshot(std::move(curr)), truth.abnormal),
-      std::move(truth)};
+  return ScenarioStep{std::move(state), std::move(truth)};
 }
 
 }  // namespace acn

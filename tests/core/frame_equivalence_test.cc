@@ -295,5 +295,35 @@ TEST(FrameEquivalence, RejectsFleetShapeChanges) {
       std::invalid_argument);
 }
 
+// Priming from row-major coordinates (the roster's layout) is the priming
+// snapshot by another door: the same state, then the same verdicts.
+TEST(FrameEquivalence, PrimeFromRowsMatchesPrimingSnapshot) {
+  ScenarioParams params;
+  params.n = 400;
+  params.errors_per_step = 6;
+  params.seed = 1616;
+  ScenarioGenerator generator(params);
+  std::vector<double> rows;
+  for (const Point& p : generator.positions()) {
+    rows.insert(rows.end(), p.coords().begin(), p.coords().end());
+  }
+  const FrameEngine::Config config{.model = params.model};
+  FrameEngine by_rows(config);
+  FrameEngine by_snapshot(config);
+  by_rows.prime(params.d, rows);
+  (void)by_snapshot.observe(Snapshot(generator.positions()), DeviceSet{});
+  EXPECT_EQ(by_rows.intervals(), 1u);
+  EXPECT_THROW(by_rows.prime(params.d, rows), std::logic_error);
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    const ScenarioStep step = generator.advance();
+    const Snapshot next = step.state.curr();
+    const std::optional<FrameEngine::Result> a = by_rows.observe(next, step.state.abnormal());
+    const std::optional<FrameEngine::Result> b =
+        by_snapshot.observe(next, step.state.abnormal());
+    ASSERT_TRUE(a.has_value() && b.has_value());
+    expect_identical_decisions(a->decisions, b->decisions, step.state.abnormal(), k);
+  }
+}
+
 }  // namespace
 }  // namespace acn

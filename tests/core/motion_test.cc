@@ -119,13 +119,16 @@ TEST(JointBoxTest, TracksExtents) {
 }
 
 TEST(JointBoxTest, WouldFit) {
+  // Joint positions (prev, curr): (0.1, 0.1), (0.3, 0.1), (0.31, 0.1), (0.9, 0.9).
+  const StatePair state =
+      test::make_state_1d({{0.1, 0.1}, {0.3, 0.1}, {0.31, 0.1}, {0.9, 0.9}});
   JointBox box(2);
-  box.add(Point{0.1, 0.1});
-  EXPECT_TRUE(box.would_fit(Point{0.3, 0.1}, 0.2));
-  EXPECT_FALSE(box.would_fit(Point{0.31, 0.1}, 0.2));
+  box.add(state, 0);
+  EXPECT_TRUE(box.would_fit(state, 1, 0.2));
+  EXPECT_FALSE(box.would_fit(state, 2, 0.2));
   // Empty box fits anything.
   JointBox empty(2);
-  EXPECT_TRUE(empty.would_fit(Point{0.9, 0.9}, 0.0));
+  EXPECT_TRUE(empty.would_fit(state, 3, 0.0));
 }
 
 TEST(JointBoxTest, SinglePointHasZeroSide) {

@@ -261,7 +261,7 @@ int run_telemetry(const TelemetryOptions& options) {
   const acn::obs::TelemetryHub& hub = *monitor.telemetry();
   for (int k = 0; k < options.intervals; ++k) {
     acn::HostileStep step = scenario.advance();
-    (void)monitor.observe(std::move(step.observed), step.abnormal);
+    (void)monitor.observe(step.observed, step.abnormal);
     if (options.watch) {
       const acn::obs::IntervalTelemetry& last = hub.store().latest();
       std::printf(
