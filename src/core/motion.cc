@@ -11,9 +11,9 @@ JointBox::JointBox(std::size_t joint_dim) noexcept : dim_(joint_dim) {
   hi_.fill(-std::numeric_limits<double>::infinity());
 }
 
-void JointBox::add(const Point& joint_position) noexcept {
+void JointBox::add(const Point& position) noexcept {
   for (std::size_t i = 0; i < dim_; ++i) {
-    const double x = joint_position[i];
+    const double x = position[i];
     if (x < lo_[i]) lo_[i] = x;
     if (x > hi_[i]) hi_[i] = x;
   }

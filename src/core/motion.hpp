@@ -19,8 +19,9 @@ class JointBox {
  public:
   explicit JointBox(std::size_t joint_dim) noexcept;
 
-  void add(const Point& joint_position) noexcept;
-  /// add(state.joint(j)), read from the joint columns (no Point built).
+  /// Adds a point of the box's dimension (is_r_consistent's boxes in E).
+  void add(const Point& position) noexcept;
+  /// Adds device j's joint position, read from the joint columns.
   void add(const StatePair& state, DeviceId j) noexcept;
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
@@ -37,8 +38,8 @@ class JointBox {
                                double window) const noexcept;
 
  private:
-  std::array<double, Point::kMaxDim> lo_{};
-  std::array<double, Point::kMaxDim> hi_{};
+  std::array<double, kMaxJointDim> lo_{};
+  std::array<double, kMaxJointDim> hi_{};
   std::size_t dim_ = 0;
   std::size_t count_ = 0;
 };

@@ -144,7 +144,7 @@ bool exists_dense_window_cover(const StatePair& state, const Params& params,
   // This slide visits dimensions in natural order; the shared tight-cluster
   // cut takes the remaining suffix of this identity order.
   static constexpr auto kIdentityDims = [] {
-    std::array<std::size_t, 2 * Point::kMaxDim> dims{};
+    std::array<std::size_t, kMaxJointDim> dims{};
     for (std::size_t i = 0; i < dims.size(); ++i) dims[i] = i;
     return dims;
   }();

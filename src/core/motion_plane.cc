@@ -91,7 +91,7 @@ struct EnumerationScratch {
   /// under visit order (the same window combinations are enumerated), but
   /// splitting on the most spread-out dimension first shrinks active sets
   /// fastest and lets the tight-cluster cut below fire at shallow depth.
-  std::array<std::size_t, 2 * Point::kMaxDim> dim_order{};
+  std::array<std::size_t, kMaxJointDim> dim_order{};
 };
 
 void slide(const StatePair& state, double window, std::span<const DeviceId> active,
@@ -167,7 +167,7 @@ void slide(const StatePair& state, double window, std::span<const DeviceId> acti
 const double* prepare_pool(const StatePair& state, const Params& params,
                            std::span<const DeviceId> pool_in,
                            std::optional<DeviceId> anchor,
-                           std::array<double, Point::kMaxDim>& anchor_coords,
+                           std::array<double, kMaxJointDim>& anchor_coords,
                            EnumerationScratch& scratch) {
   const double window = params.window();
   const double* anchor_joint = nullptr;
@@ -202,7 +202,7 @@ const double* prepare_pool(const StatePair& state, const Params& params,
   // Ties break toward the lower dimension index, keeping the order — and
   // the windows_explored trajectory — deterministic.
   const kernels::Ops& ops = kernels::dispatch();
-  std::array<double, 2 * Point::kMaxDim> span{};
+  std::array<double, kMaxJointDim> span{};
   for (std::size_t t = 0; t < state.joint_dim(); ++t) {
     double lo;
     double hi;
@@ -264,7 +264,7 @@ void enumerate_into(const StatePair& state, const Params& params,
                     std::span<const DeviceId> pool_in,
                     std::optional<DeviceId> anchor, OracleCounters* counters,
                     EnumerationScratch& scratch) {
-  std::array<double, Point::kMaxDim> anchor_coords{};
+  std::array<double, kMaxJointDim> anchor_coords{};
   const double* anchor_joint =
       prepare_pool(state, params, pool_in, anchor, anchor_coords, scratch);
   if (scratch.pool.empty()) return;
@@ -513,7 +513,7 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     // exports its (locally deduped) covers in store order; one task carries
     // the component's enumeration_calls tick.
     if (task.task_index == 0) ++out.counters.enumeration_calls;
-    std::array<double, Point::kMaxDim> anchor_coords{};
+    std::array<double, kMaxJointDim> anchor_coords{};
     prepare_pool(state_, params_, component_members(task.comp), std::nullopt,
                  anchor_coords, scratch);
     slide_edge_slice(state_, window, task.task_index, task.task_count, scratch,

@@ -3,8 +3,9 @@
 // The paper works in E with d = number of services per device (§III-A) and
 // in the *joint space* E x E: a set of devices has an r-consistent motion in
 // [k-1, k] iff its Chebyshev diameter is <= 2r at both instants, i.e. iff
-// its 2d-dimensional joint bounding box has side <= 2r. Point supports both
-// roles; capacity covers d <= 8 services (16 joint dimensions).
+// its 2d-dimensional joint bounding box has side <= 2r. A Point is a point
+// of E only, for d <= 8 services; joint positions live in StatePair's
+// columns (core/state.hpp), never in a Point.
 #pragma once
 
 #include <array>
@@ -17,7 +18,8 @@ namespace acn {
 
 class Point {
  public:
-  static constexpr std::size_t kMaxDim = 16;
+  /// Largest QoS dimension d: every roster, state and scenario enforces it.
+  static constexpr std::size_t kMaxDim = 8;
 
   Point() = default;
   /// Throws std::invalid_argument if coords.size() is 0 or > kMaxDim.
@@ -36,11 +38,13 @@ class Point {
     return {coords_.data(), dim_};
   }
 
-  /// True if every coordinate lies in [0, 1] (the QoS space proper).
-  [[nodiscard]] bool in_unit_box() const noexcept;
-
-  /// Concatenates two points (used to form joint positions).
-  [[nodiscard]] static Point concat(const Point& a, const Point& b);
+  /// True if no coordinate lies below 0 or above 1 (the QoS space
+  /// proper). Branch-free over the coordinates: it runs once per report.
+  [[nodiscard]] bool in_unit_box() const noexcept {
+    bool outside = false;
+    for (std::size_t i = 0; i < dim_; ++i) outside |= (coords_[i] < 0.0) | (coords_[i] > 1.0);
+    return !outside;
+  }
 
   /// Chebyshev (L-infinity) distance; requires equal dimensions.
   friend double chebyshev(const Point& a, const Point& b) noexcept;
@@ -53,5 +57,9 @@ class Point {
   std::array<double, kMaxDim> coords_{};
   std::size_t dim_ = 0;
 };
+
+/// Largest joint dimension 2d of E x E: the size of fixed arrays that hold
+/// one value per joint column (bounding boxes, anchors, dimension orders).
+inline constexpr std::size_t kMaxJointDim = 2 * Point::kMaxDim;
 
 }  // namespace acn

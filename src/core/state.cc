@@ -24,7 +24,7 @@ Snapshot::Snapshot(std::vector<Point> positions) : positions_(std::move(position
 
 StatePair::StatePair(std::size_t n, std::size_t dim, DeviceSet abnormal)
     : n_(n), dim_(dim), abnormal_(std::move(abnormal)) {
-  if (dim_ == 0 || dim_ > Point::kMaxDim / 2) {
+  if (dim_ == 0 || dim_ > Point::kMaxDim) {
     throw std::invalid_argument("StatePair: dimension out of range");
   }
   if (!abnormal_.empty() && abnormal_[abnormal_.size() - 1] >= n_) {
@@ -93,9 +93,9 @@ void StatePair::finish_build() {
   }
 }
 
-Point StatePair::point_at(DeviceId j, std::size_t first, std::size_t count) const {
-  Point p = Point::zero(count);
-  for (std::size_t t = 0; t < count; ++t) p[t] = joint_col(first + t)[j];
+Point StatePair::point_at(DeviceId j, std::size_t first) const {
+  Point p = Point::zero(dim_);
+  for (std::size_t t = 0; t < dim_; ++t) p[t] = joint_col(first + t)[j];
   return p;
 }
 
@@ -103,7 +103,7 @@ Snapshot StatePair::snapshot_at(std::size_t first) const {
   // The columns hold validated coordinates; skip Snapshot's re-check.
   std::vector<Point> positions;
   positions.reserve(n_);
-  for (DeviceId j = 0; j < n_; ++j) positions.push_back(point_at(j, first, dim_));
+  for (DeviceId j = 0; j < n_; ++j) positions.push_back(point_at(j, first));
   return Snapshot(std::move(positions), dim_);
 }
 

@@ -70,7 +70,7 @@ class StatePair {
   /// Column constructor: S_{k-1} and S_k given row-major, dim coordinates
   /// per device (row j belongs to device j) — the layout FleetRoster keeps.
   /// Pass the same span twice to prime (S_0, S_0). Throws
-  /// std::invalid_argument if dim is not in [1, Point::kMaxDim / 2], the
+  /// std::invalid_argument if dim is not in [1, Point::kMaxDim], the
   /// spans are empty, differ in length or are not a whole number of rows,
   /// a coordinate lies outside [0, 1], or abnormal is out of range.
   StatePair(std::size_t dim, std::span<const double> prev_rows,
@@ -119,15 +119,15 @@ class StatePair {
   /// and O(d) values respectively: for API edges, not per-interval paths.
   [[nodiscard]] Snapshot prev() const { return snapshot_at(0); }
   [[nodiscard]] Snapshot curr() const { return snapshot_at(dim_); }
-  [[nodiscard]] Point prev_pos(DeviceId j) const { return point_at(j, 0, dim_); }
-  [[nodiscard]] Point curr_pos(DeviceId j) const { return point_at(j, dim_, dim_); }
-  /// Joint position (coords at k-1 concatenated with coords at k).
-  [[nodiscard]] Point joint(DeviceId j) const { return point_at(j, 0, joint_dim()); }
+  [[nodiscard]] Point prev_pos(DeviceId j) const { return point_at(j, 0); }
+  [[nodiscard]] Point curr_pos(DeviceId j) const { return point_at(j, dim_); }
 
-  /// Structure-of-arrays view of one joint dimension: joint_col(t)[j] ==
-  /// joint(j)[t], one contiguous double row per dimension. The canonical
-  /// window slides scan one dimension across many devices; the columnar
-  /// layout turns those inner loops into flat-array scans.
+  /// Structure-of-arrays view of one joint dimension, one contiguous
+  /// double row per dimension: device j's joint position is prev_pos(j)
+  /// then curr_pos(j), so joint_col(t)[j] == prev_pos(j)[t] for t < dim()
+  /// and curr_pos(j)[t - dim()] above. The canonical window slides scan
+  /// one dimension across many devices; the columnar layout turns those
+  /// inner loops into flat-array scans.
   [[nodiscard]] const double* joint_col(std::size_t dim) const noexcept {
     return joint_cols_.data() + dim * n_;
   }
@@ -149,8 +149,9 @@ class StatePair {
   }
 
   /// Joint Chebyshev distance between devices a and b: the max of their
-  /// distances at k-1 and at k. The pair {a, b} can share an r-consistent
-  /// motion iff this is <= 2r. Same value as chebyshev(joint(a), joint(b)).
+  /// distances at k-1 and at k (chebyshev() of their prev_pos and of their
+  /// curr_pos). The pair {a, b} can share an r-consistent motion iff this
+  /// is <= 2r.
   [[nodiscard]] double joint_distance(DeviceId a, DeviceId b) const noexcept {
     double best = 0.0;
     for (std::size_t t = 0; t < joint_dim(); ++t) {
@@ -171,7 +172,8 @@ class StatePair {
   /// Quantizes every column entry and lists the devices whose halves differ.
   void finish_build();
 
-  [[nodiscard]] Point point_at(DeviceId j, std::size_t first, std::size_t count) const;
+  /// Device j's position in the half starting at joint column `first`.
+  [[nodiscard]] Point point_at(DeviceId j, std::size_t first) const;
   [[nodiscard]] Snapshot snapshot_at(std::size_t first) const;
 
   std::size_t n_ = 0;

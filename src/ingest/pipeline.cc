@@ -20,6 +20,12 @@ void WatermarkConfig::validate() const {
 
 namespace {
 
+[[noreturn]] void reject_claim(GatewayKey device, std::size_t dim) {
+  throw std::invalid_argument("IngestPipeline::push: claim of device " +
+                              std::to_string(device) +
+                              " is not a point of [0,1]^" + std::to_string(dim));
+}
+
 OnlineMonitor::Config roster_backed(OnlineMonitor::Config monitor,
                                     std::size_t capacity, std::size_t dim) {
   monitor.roster_capacity = capacity;
@@ -41,6 +47,8 @@ IngestPipeline::IngestPipeline(Config config)
   config_.watermark.validate();
   shed_possible_ = config_.overload.shed_claim_threshold !=
                    static_cast<std::size_t>(-1);
+  defer_possible_ = config_.overload.defer_abnormal_cap !=
+                    static_cast<std::size_t>(-1);
 }
 
 void IngestPipeline::prime(
@@ -75,18 +83,30 @@ void IngestPipeline::seal_prime() {
   primed_ = true;
 }
 
-void IngestPipeline::push(const QosReport& report) {
-  if (!primed_) {
-    throw std::logic_error("IngestPipeline::push: prime() first");
+StagingFrame& IngestPipeline::open_frame(std::uint64_t k) {
+  auto it = frames_.find(k);
+  if (it == frames_.end()) {
+    StagingFrame fresh;
+    if (frame_pool_.empty()) {
+      fresh.configure(config_.capacity, config_.dim);
+    } else {
+      fresh = std::move(frame_pool_.back());
+      frame_pool_.pop_back();
+    }
+    fresh.first_seen_tick = tick_;
+    it = frames_.emplace(k, std::move(fresh)).first;
   }
+  hot_frame_ = &it->second;  // map nodes are stable until erased
+  hot_interval_ = k;
+  return it->second;
+}
+
+inline void IngestPipeline::stage(const QosReport& report) {
   // The seal writes every staged claim through to the roster, which rejects
   // the same claims; checked here, before anything is staged, a malformed
   // report cannot leave an interval half-applied at its seal.
   if (report.claim.dim() != config_.dim || !report.claim.in_unit_box()) {
-    throw std::invalid_argument("IngestPipeline::push: claim of device " +
-                                std::to_string(report.device) +
-                                " is not a point of [0,1]^" +
-                                std::to_string(config_.dim));
+    reject_claim(report.device, config_.dim);
   }
   const std::uint64_t k = report.interval;
   if (k < next_to_seal_) {
@@ -101,56 +121,47 @@ void IngestPipeline::push(const QosReport& report) {
     return;
   }
 
-  StagingFrame* frame = hot_frame_;
-  if (frame == nullptr || hot_interval_ != k) {
-    auto it = frames_.find(k);
-    if (it == frames_.end()) {
-      StagingFrame fresh;
-      if (frame_pool_.empty()) {
-        fresh.configure(config_.capacity, config_.dim);
-      } else {
-        fresh = std::move(frame_pool_.back());
-        frame_pool_.pop_back();
-      }
-      fresh.first_seen_tick = tick_;
-      it = frames_.emplace(k, std::move(fresh)).first;
-    }
-    frame = &it->second;  // map nodes are stable until erased
-    hot_frame_ = frame;
-    hot_interval_ = k;
-  }
+  StagingFrame& frame = hot_frame_ != nullptr && hot_interval_ == k
+                            ? *hot_frame_
+                            : open_frame(k);
   if (k > max_seen_) max_seen_ = k;  // the event time counts even if shed
 
   // Overload shed: past the volume threshold, non-flagged claim updates
   // are sampled by content hash — the flagged ones always land.
   if (shed_possible_ && !report.abnormal &&
-      overload_.shed_claim(report.device, k, frame->volume())) {
+      overload_.shed_claim(report.device, k, frame.volume())) {
     ++counters_.shed_claims;
-    frame->shed_engaged = true;
-  } else {
-    const StagingFrame::Apply applied = frame->apply(report);
-    switch (applied) {
-      case StagingFrame::Apply::kAccepted:
-        ++counters_.accepted;
-        break;
-      case StagingFrame::Apply::kSuperseded:
-      case StagingFrame::Apply::kStale:
-        ++counters_.superseded;
-        break;
-      case StagingFrame::Apply::kDuplicate:
-        ++counters_.duplicates;
-        break;
-    }
-    // The seal visits only touched keys (see seal()): a newly staged claim
-    // is touched unless sealing it would provably change nothing — it is
-    // unflagged, and the roster already holds it for an active key.
-    if ((applied == StagingFrame::Apply::kAccepted ||
-         applied == StagingFrame::Apply::kSuperseded) &&
-        (report.abnormal ||
-         !roster_->holds(report.device, report.claim.coords()))) {
-      frame->touch(report.device);
-    }
+    frame.shed_engaged = true;
+    return;
   }
+  const StagingFrame::Apply applied = frame.apply(report);
+  switch (applied) {
+    case StagingFrame::Apply::kAccepted:
+      ++counters_.accepted;
+      break;
+    case StagingFrame::Apply::kSuperseded:
+    case StagingFrame::Apply::kStale:
+      ++counters_.superseded;
+      break;
+    case StagingFrame::Apply::kDuplicate:
+      ++counters_.duplicates;
+      break;
+  }
+  // The seal visits only touched keys (see seal()): a newly staged claim
+  // is touched unless sealing it would provably change nothing — it is
+  // unflagged, and the roster already holds it for an active key.
+  if ((applied == StagingFrame::Apply::kAccepted ||
+       applied == StagingFrame::Apply::kSuperseded) &&
+      (report.abnormal || !roster_->holds(report.device, report.claim.coords()))) {
+    frame.touch(report.device);
+  }
+}
+
+void IngestPipeline::push(const QosReport& report) {
+  if (!primed_) {
+    throw std::logic_error("IngestPipeline::push: prime() first");
+  }
+  stage(report);
   seal_ready();
 }
 
@@ -158,8 +169,15 @@ void IngestPipeline::push_all(std::span<const QosReport> reports) {
   if (!primed_) {
     throw std::logic_error("IngestPipeline::push: prime() first");
   }
-  for (const QosReport& report : reports) push(report);
+  // seal_ready() seals nothing until the watermark passes the oldest open
+  // interval, so the loop asks for it only then.
+  const std::uint64_t lag = config_.watermark.allowed_lag;
+  for (const QosReport& report : reports) {
+    stage(report);
+    if (max_seen_ >= next_to_seal_ + lag) seal_ready();
+  }
 }
+
 
 void IngestPipeline::seal_ready() {
   // Watermark rule: k seals once max_seen - k >= allowed_lag. When one
@@ -245,7 +263,7 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
   // interval may have staged it, untouched, against the entry this seal
   // just overwrote.
   std::vector<GatewayKey> flagged;
-  std::vector<Point> flagged_claims;
+  std::vector<Point> flagged_claims;  // deferral's input; empty when it is off
   std::size_t rejected = 0;
   const auto visit = [&](GatewayKey key, const StagingFrame::Cell& cell) {
     const std::uint64_t revision = roster.revision();
@@ -269,7 +287,7 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
     }
     if (cell.flagged) {
       flagged.push_back(key);
-      flagged_claims.emplace_back(cell.claim);
+      if (defer_possible_) flagged_claims.emplace_back(cell.claim);
     }
   };
   if (walk_all) {

@@ -183,6 +183,11 @@ class IngestPipeline {
   void admit_at_prime(GatewayKey key, const Point& position);
   /// prime()'s last step: seals interval 0 (the engine's priming state).
   void seal_prime();
+  /// push() minus the priming check and the seal; inline in pipeline.cc,
+  /// so push() and push_all() share one staging path.
+  void stage(const QosReport& report);
+  /// The open frame of interval k, created on its first report.
+  StagingFrame& open_frame(std::uint64_t k);
   void seal(std::uint64_t interval, bool forced);
   /// Seals every interval the watermark or the flood bound has passed.
   void seal_ready();
@@ -211,6 +216,8 @@ class IngestPipeline {
   /// Precomputed "shedding can ever engage" — keeps the overload check
   /// off the per-report hot path in the (default) disabled configuration.
   bool shed_possible_ = false;
+  /// Same for deferral: while off, a seal builds no flagged-claim Points.
+  bool defer_possible_ = false;
   std::vector<ClosedInterval> ready_;
   IngestCounters counters_;
   /// Counter values at the previous seal — the per-interval deltas the

@@ -48,7 +48,6 @@ void StagingFrame::reset() {
   std::fill(present_.begin(), present_.end(), 0);
   std::fill(touched_blocks_.begin(), touched_blocks_.end(), 0);
   dense_count_ = 0;
-  odd_.clear();
   spill_.clear();
   volume_ = 0;
   first_seen_tick = 0;

@@ -10,17 +10,14 @@
 // and exact redeliveries are counted, not re-applied.
 //
 // Layout: a frame sits on the per-report hot path (every report of every
-// interval passes through apply()), so staging is split into a dense lane —
-// keys below a configured limit index flat structure-of-arrays storage
+// interval passes through apply()), so staging has one dense lane — keys
+// below a configured limit index flat structure-of-arrays storage
 // directly: seq, flag, and exactly dim() claim coordinates per cell, no
-// hashing, no per-seal sort, no 136-byte Point padding — and a spill map
-// for out-of-range keys. Claims whose dimension does not match the
-// configured one cannot pack into the lane stride; they park in a cold
-// side map so they still seal in key order and still explode at the
-// roster boundary exactly as an unstaged malformed claim would. The
-// pipeline sets the lane to the roster capacity and pools sealed frames,
-// so in the steady state a report costs one bounds check and a few
-// indexed stores.
+// hashing and no per-seal sort — plus a spill map for out-of-range keys.
+// A lane claim must have the configured dimension (the pipeline rejects
+// any other claim before staging it). The pipeline sets the lane to the
+// roster capacity and pools sealed frames, so in the steady state a report
+// costs one bounds check and a few indexed stores.
 //
 // Touched keys: most staged cells of a quiet fleet repeat the claim the
 // roster already holds, and sealing such a cell changes nothing. The
@@ -82,6 +79,9 @@ class StagingFrame {
 
   /// Stages `report` under the last-write-wins-by-seq rule. Inline: this
   /// is the per-report hot path, called once per delivered report.
+  /// PRECONDITION: a claim for a key below the lane limit has the
+  /// configured dimension (IngestPipeline::push rejects any other claim
+  /// before staging it); spill keys take a claim of any dimension.
   Apply apply(const QosReport& report) {
     ++volume_;
     if (report.device >= present_.size()) {
@@ -93,32 +93,15 @@ class StagingFrame {
       return resolve_fat(it->second, report);
     }
     const std::size_t key = report.device;
-    const std::uint8_t state = present_[key] & kWhere;
-    if (state == 0) {
+    if (present_[key] == 0) {
       ++dense_count_;
-      if (report.claim.dim() == dim_) {
-        present_[key] = kLane;
-        store_lane(key, report);
-      } else {
-        present_[key] = kOdd;
-        stage_fat(odd_[key], report);
-      }
+      present_[key] = kStaged;
+      store_lane(key, report);
       return Apply::kAccepted;
     }
-    const std::uint64_t have = state == kLane ? seq_[key] : odd_[key].seq;
-    if (report.arrival_seq == have) return Apply::kDuplicate;
-    if (report.arrival_seq < have) return Apply::kStale;
-    const std::uint8_t touched = present_[key] & kTouched;
-    if (report.claim.dim() == dim_) {
-      if (state == kOdd) {
-        odd_.erase(key);
-        present_[key] = touched | kLane;
-      }
-      store_lane(key, report);
-    } else {
-      if (state == kLane) present_[key] = touched | kOdd;
-      stage_fat(odd_[key], report);
-    }
+    if (report.arrival_seq == seq_[key]) return Apply::kDuplicate;
+    if (report.arrival_seq < seq_[key]) return Apply::kStale;
+    store_lane(key, report);
     return Apply::kSuperseded;
   }
 
@@ -227,19 +210,15 @@ class StagingFrame {
 
   /// The dense-lane cell of a staged key (present_[key] != 0).
   [[nodiscard]] Cell cell(std::size_t key) const {
-    if ((present_[key] & kWhere) == kOdd) return view(odd_.at(key));
     return Cell{seq_[key],
                 std::span<const double>(coords_.data() + key * dim_, dim_),
                 flag_[key] != 0};
   }
 
   // Dense lane, structure-of-arrays. present_[key]: 0 = empty, else
-  // kLane (staged in the lane) or kOdd (staged in odd_, claim dim != dim_),
-  // plus kTouched once touch()ed.
-  static constexpr std::uint8_t kLane = 1;
-  static constexpr std::uint8_t kOdd = 2;
-  static constexpr std::uint8_t kWhere = kLane | kOdd;
-  static constexpr std::uint8_t kTouched = 4;
+  // kStaged, plus kTouched once touch()ed.
+  static constexpr std::uint8_t kStaged = 1;
+  static constexpr std::uint8_t kTouched = 2;
   std::vector<std::uint8_t> present_;
   /// Bit b of word w: block w * 64 + b (keys [64 x block, 64 x block + 64))
   /// holds a touched key.
@@ -249,7 +228,6 @@ class StagingFrame {
   std::vector<double> coords_;  ///< dim_ doubles per dense cell
   std::size_t dim_ = 0;
   std::size_t dense_count_ = 0;
-  std::unordered_map<GatewayKey, Staged> odd_;    ///< dense keys, odd dim
   std::unordered_map<GatewayKey, Staged> spill_;  ///< keys >= lane limit
   std::size_t volume_ = 0;
 };

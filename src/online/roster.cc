@@ -10,7 +10,7 @@ FleetRoster::FleetRoster(std::size_t capacity, std::size_t dim) : dim_(dim) {
   if (capacity == 0) {
     throw std::invalid_argument("FleetRoster: capacity must be >= 1");
   }
-  if (dim == 0 || dim > Point::kMaxDim / 2) {
+  if (dim == 0 || dim > Point::kMaxDim) {
     throw std::invalid_argument("FleetRoster: dimension out of range");
   }
   coords_.assign(capacity * dim, 0.0);

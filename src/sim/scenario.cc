@@ -21,7 +21,7 @@ std::vector<double> rows_of(const std::vector<Point>& points, std::size_t d) {
 void ScenarioParams::validate() const {
   model.validate();
   if (n < 2) throw std::invalid_argument("ScenarioParams: n must be >= 2");
-  if (d == 0 || d > Point::kMaxDim / 2) {
+  if (d == 0 || d > Point::kMaxDim) {
     throw std::invalid_argument("ScenarioParams: d out of range");
   }
   if (errors_per_step == 0) {

@@ -33,17 +33,6 @@ TEST(PointTest, InUnitBox) {
   EXPECT_FALSE((Point{0.5, 1.01}).in_unit_box());
 }
 
-TEST(PointTest, Concat) {
-  const Point a{0.1, 0.2};
-  const Point b{0.3, 0.4};
-  const Point joint = Point::concat(a, b);
-  ASSERT_EQ(joint.dim(), 4u);
-  EXPECT_EQ(joint[0], 0.1);
-  EXPECT_EQ(joint[1], 0.2);
-  EXPECT_EQ(joint[2], 0.3);
-  EXPECT_EQ(joint[3], 0.4);
-}
-
 TEST(PointTest, ChebyshevDistance) {
   const Point a{0.0, 0.0};
   const Point b{0.3, -0.7};

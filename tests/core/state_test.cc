@@ -41,9 +41,13 @@ TEST(StatePairTest, ValidatesAbnormalRange) {
 
 TEST(StatePairTest, JointPositionsConcatenatePrevAndCurr) {
   const StatePair state = test::make_state_1d({{0.1, 0.8}, {0.2, 0.9}});
-  EXPECT_EQ(state.joint(0), (Point{0.1, 0.8}));
-  EXPECT_EQ(state.joint(1), (Point{0.2, 0.9}));
-  EXPECT_EQ(state.joint_dim(), 2u);
+  ASSERT_EQ(state.joint_dim(), 2u);
+  EXPECT_EQ(state.joint_col(0)[0], 0.1);
+  EXPECT_EQ(state.joint_col(1)[0], 0.8);
+  EXPECT_EQ(state.joint_col(0)[1], 0.2);
+  EXPECT_EQ(state.joint_col(1)[1], 0.9);
+  EXPECT_EQ(state.prev_pos(1), (Point{0.2}));
+  EXPECT_EQ(state.curr_pos(1), (Point{0.9}));
 }
 
 TEST(StatePairTest, JointDistanceIsMaxOverInstants) {
@@ -112,8 +116,9 @@ void expect_holds(const StatePair& state, const std::vector<double>& prev_rows,
     const Point curr(std::span<const double>(curr_rows.data() + j * d, d));
     ASSERT_EQ(state.prev_pos(j), prev) << where << " device " << j;
     ASSERT_EQ(state.curr_pos(j), curr) << where << " device " << j;
-    ASSERT_EQ(state.joint(j), Point::concat(prev, curr)) << where << " device " << j;
     for (std::size_t t = 0; t < state.joint_dim(); ++t) {
+      ASSERT_EQ(state.joint_col(t)[j], t < d ? prev[t] : curr[t - d])
+          << where << " joint_col " << t << " device " << j;
       ASSERT_EQ(state.qcol(t)[j], kernels::quantize(state.joint_col(t)[j]))
           << where << " qcol " << t << " device " << j;
     }

@@ -126,15 +126,13 @@ TEST(StagingFrame, TouchedWalkVisitsTouchedKeysAndSpillInKeyOrder) {
   for (const GatewayKey d : {6ULL, 1ULL, 3ULL, 5ULL, 20ULL}) {
     (void)frame.apply(make_report(d, 1, 0.1 * static_cast<double>(d % 8), 1));
   }
-  QosReport odd = make_report(2, 1, 0.2, 1);
-  odd.claim = Point{0.1, 0.2, 0.3};  // odd dimension: parks off the lane
-  (void)frame.apply(odd);
+  (void)frame.apply(make_report(2, 1, 0.2, 1));
 
   frame.touch(5);
   frame.touch(1);
   frame.touch(5);   // idempotent
   frame.touch(4);   // nothing staged: no-op
-  frame.touch(2);   // odd-dimension cells take the mark too
+  frame.touch(2);
   frame.touch(20);  // spill: always visited anyway
   frame.touch(21);  // spill key with nothing staged: no-op
 
@@ -146,11 +144,10 @@ TEST(StagingFrame, TouchedWalkVisitsTouchedKeysAndSpillInKeyOrder) {
     return keys;
   };
   using Visit = std::vector<std::pair<GatewayKey, std::size_t>>;
-  EXPECT_EQ(visited(), (Visit{{1, 2}, {2, 3}, {5, 2}, {20, 2}}));
+  EXPECT_EQ(visited(), (Visit{{1, 2}, {2, 2}, {5, 2}, {20, 2}}));
 
-  // A supersession keeps the mark, also when the cell changes storage.
-  QosReport fixed = make_report(2, 1, 0.4, 2);
-  EXPECT_EQ(frame.apply(fixed), StagingFrame::Apply::kSuperseded);
+  // A supersession keeps the mark.
+  EXPECT_EQ(frame.apply(make_report(2, 1, 0.4, 2)), StagingFrame::Apply::kSuperseded);
   EXPECT_EQ(frame.apply(make_report(5, 1, 0.7, 2)), StagingFrame::Apply::kSuperseded);
   EXPECT_EQ(visited(), (Visit{{1, 2}, {2, 2}, {5, 2}, {20, 2}}));
   // The full walk is unaffected by marks.

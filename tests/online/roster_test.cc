@@ -125,7 +125,8 @@ TEST(FleetRoster, SameIntervalRetireAdmitRecyclesFifoAndStaysIneligible) {
 TEST(FleetRoster, ConstructorValidates) {
   EXPECT_THROW(FleetRoster(0, 2), std::invalid_argument);
   EXPECT_THROW(FleetRoster(4, 0), std::invalid_argument);
-  EXPECT_THROW(FleetRoster(4, Point::kMaxDim), std::invalid_argument);
+  EXPECT_NO_THROW(FleetRoster(4, Point::kMaxDim));
+  EXPECT_THROW(FleetRoster(4, Point::kMaxDim + 1), std::invalid_argument);
 }
 
 TEST(FleetRoster, ChangeSetListsOnlySlotsWhoseCoordinatesChanged) {
